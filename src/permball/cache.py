@@ -63,11 +63,22 @@ class ResultCache:
         try:
             data = json.loads(path.read_text())
             record = CacheRecord(**data)
-        except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
+            key = record.spec()
+        except (
+            json.JSONDecodeError, TypeError, KeyError, ValueError, ValidationError
+        ) as exc:
             raise ValidationError(f"unreadable cache record {path}: {exc}") from exc
-        if not record.exact_count.isdigit():
+        count = record.exact_count
+        # str.isdigit alone accepts digits such as superscripts, which int()
+        # then rejects.
+        if not (isinstance(count, str) and count.isascii() and count.isdigit()):
             raise ValidationError(
                 f"cache record {path} has a non-decimal count field"
+            )
+        if self.path_for(key).name != path.name:
+            raise ValidationError(
+                f"cache record {path} holds n={key.n}, r={key.r}, "
+                f"which its file name does not"
             )
         return record
 

@@ -22,6 +22,7 @@ from .asym import GAP_PAIRS, gap_curve_table
 from .bounds import (
     ALL_FAMILIES,
     CLOSED_FAMILIES,
+    GENERIC_FAMILIES,
     BoundValue,
     bethe_bound,
     finite_bound,
@@ -146,34 +147,27 @@ def _sweep_cell(payload) -> dict:
         ).value
     except CapacityError:
         pass
+    band = BandMatrix(spec)
+    balanced = None
+    failure = f"generic families capped at n={GENERIC_FAMILY_MAX_N}"
+    if spec.n <= GENERIC_FAMILY_MAX_N and any(f in GENERIC_FAMILIES for f in families):
+        try:
+            balanced, _ = sinkhorn_balance(band, tol=1e-10)
+        except ConvergenceError as exc:
+            failure = str(exc)
     rows: list[BoundValue] = []
     for family in families:
         if family in CLOSED_FAMILIES:
             rows.append(finite_bound(family, spec))
-            continue
-        if spec.n > GENERIC_FAMILY_MAX_N:
-            rows.append(
-                BoundValue(
-                    family,
-                    "lower",
-                    float("nan"),
-                    spec,
-                    False,
-                    f"generic families capped at n={GENERIC_FAMILY_MAX_N}",
-                )
-            )
-            continue
-        band = BandMatrix(spec)
-        try:
-            balanced, _ = sinkhorn_balance(band, tol=1e-10)
+        elif balanced is None:
+            rows.append(BoundValue(family, "lower", float("nan"), spec, False, failure))
+        else:
             functional = (
                 vdw_sinkhorn_bound if family == "vdw_generic" else bethe_bound
             )
             rows.append(
                 BoundValue(family, "lower", functional(band, balanced), spec, True)
             )
-        except ConvergenceError as exc:
-            rows.append(BoundValue(family, "lower", float("nan"), spec, False, str(exc)))
     return {"n": n, "r": r, "exact": exact_count, "bounds": rows}
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -23,9 +24,14 @@ STOCHASTIC_TOL = 1e-9
 SINKHORN_MAX_ITER = 200_000
 
 
-def _band_mask(spec: BallSpec) -> np.ndarray:
-    idx = np.arange(1, spec.n + 1)
-    return np.abs(idx[:, None] - idx[None, :]) <= spec.r
+def _sum_deviation(entries: np.ndarray) -> float:
+    """Max deviation of any row or column sum from 1."""
+    return float(
+        max(
+            np.abs(entries.sum(axis=1) - 1.0).max(),
+            np.abs(entries.sum(axis=0) - 1.0).max(),
+        )
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,12 +75,7 @@ class StochasticMatrix:
         return self.entries.sum(axis=0)
 
     def max_sum_deviation(self) -> float:
-        return float(
-            max(
-                np.abs(self.row_sums() - 1.0).max(),
-                np.abs(self.col_sums() - 1.0).max(),
-            )
-        )
+        return _sum_deviation(self.entries)
 
     def exactly_doubly_stochastic(self) -> bool:
         """Exact-rational check: every row/column numerator sum equals D."""
@@ -92,7 +93,7 @@ class StochasticMatrix:
     def support_equals_band(self) -> bool:
         if self.support_spec is None:
             raise ValidationError("matrix carries no band support spec")
-        mask = _band_mask(self.support_spec)
+        mask = BandMatrix(self.support_spec).support_mask()
         return bool(((self.entries > 0) == mask).all())
 
 
@@ -104,12 +105,7 @@ def _finish(
     denominator: int | None = None,
     tol: float = STOCHASTIC_TOL,
 ) -> StochasticMatrix:
-    residual = float(
-        max(
-            np.abs(entries.sum(axis=1) - 1.0).max(),
-            np.abs(entries.sum(axis=0) - 1.0).max(),
-        )
-    )
+    residual = _sum_deviation(entries)
     if residual > tol:
         raise ConvergenceError(
             f"constructed matrix misses double stochasticity: "
@@ -133,7 +129,7 @@ def _first_class_numerators(spec: BallSpec, low_regime: bool) -> tuple[np.ndarra
     n, r = spec.n, spec.r
     idx = np.arange(1, n + 1)
     ij = idx[:, None] + idx[None, :]
-    band = _band_mask(spec)
+    band = BandMatrix(spec).support_mask()
     if low_regime:
         denominator = 2 * r + 1
         corners = (ij <= r + 1) | (ij >= 2 * n - r + 1)
@@ -196,7 +192,7 @@ def q_second_low(spec: BallSpec) -> StochasticMatrix:
     bot = (i >= n - r) & (j >= n - r)
     expo = np.where(top, (r + 1 - i) + (r + 1 - j), expo)
     expo = np.where(bot, (i - (n - r)) + (j - (n - r)), expo)
-    entries = np.where(_band_mask(spec), c * np.power(alpha, expo), 0.0)
+    entries = np.where(BandMatrix(spec).support_mask(), c * np.power(alpha, expo), 0.0)
     return _finish(entries, spec)
 
 
@@ -223,7 +219,7 @@ def q_second_high(spec: BallSpec) -> StochasticMatrix:
     v[left] = (n - r) - idx[left]
     v[right] = idx[right] - (r + 1)
     expo = v[:, None] + v[None, :]
-    entries = np.where(_band_mask(spec), c * np.power(alpha, expo), 0.0)
+    entries = np.where(BandMatrix(spec).support_mask(), c * np.power(alpha, expo), 0.0)
     return _finish(entries, spec)
 
 
@@ -241,6 +237,24 @@ class ScalingVectors:
             raise ValidationError("scaling vectors must be strictly positive")
 
 
+def _window_sums(spec: BallSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> A x for the 0/1 band A of ``spec``, in O(n) per call.
+
+    (A x)_i sums x_j over the window |i-j| <= r, taken as the difference
+    of two entries of the prefix sum of x.
+    """
+    idx = np.arange(spec.n)
+    lo = np.maximum(idx - spec.r, 0)
+    hi = np.minimum(idx + spec.r + 1, spec.n)
+    prefix = np.zeros(spec.n + 1)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        np.cumsum(x, out=prefix[1:])
+        return prefix[hi] - prefix[lo]
+
+    return apply
+
+
 def sinkhorn_balance(
     m: np.ndarray | BandMatrix,
     tol: float = STOCHASTIC_TOL,
@@ -253,40 +267,51 @@ def sinkhorn_balance(
 
     Returns the balanced matrix together with the accumulated diagonal
     scales.  Requires a matrix with total support (every row and column
-    must carry positive mass); the band matrices qualify.  Raises
+    must carry positive mass); the band matrices qualify.  A ``BandMatrix``
+    stays implicit while iterating (each sweep is a pair of O(n) window
+    sums); the dense balanced matrix is built once, at convergence, and
+    its row and column sums give the returned residual.  Raises
     ConvergenceError carrying the residual if max_iter is exhausted.
     """
-    if isinstance(m, BandMatrix):
-        support_spec = support_spec or m.spec
-        m = m.toarray()
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("sinkhorn_balance requires a square matrix")
-    if (a < 0).any():
-        raise DomainError("sinkhorn_balance requires non-negative entries")
-    if (a.sum(axis=1) == 0).any() or (a.sum(axis=0) == 0).any():
-        raise DomainError("matrix has an empty row or column (no total support)")
     if order not in ("rows-first", "cols-first"):
         raise ValidationError(f"unknown iteration order {order!r}")
-    n = a.shape[0]
-    row = np.ones(n)
-    col = np.ones(n)
+    if isinstance(m, BandMatrix):
+        support_spec = support_spec or m.spec
+        n = m.n
+        a = None
+        apply_u = apply_v = _window_sums(m.spec)  # the band is symmetric
+    else:
+        a = np.asarray(m, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionError("sinkhorn_balance requires a square matrix")
+        if (a < 0).any():
+            raise DomainError("sinkhorn_balance requires non-negative entries")
+        if (a.sum(axis=1) == 0).any() or (a.sum(axis=0) == 0).any():
+            raise DomainError("matrix has an empty row or column (no total support)")
+        n = a.shape[0]
+        apply_u, apply_v = a.dot, a.T.dot
+        if order == "cols-first":
+            apply_u, apply_v = apply_v, apply_u
+    # u is the scale normalized first in each iteration, v the other one;
+    # apply_u(v) gives the sums that u divides out, apply_v(u) those of v.
+    v = np.ones(n)
+    den_u = apply_u(v)
     residual = np.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        if order == "rows-first":
-            row = 1.0 / (a @ col)
-            col = 1.0 / (a.T @ row)
-        else:
-            col = 1.0 / (a.T @ row)
-            row = 1.0 / (a @ col)
+        u = 1.0 / den_u
+        den_v = apply_v(u)
+        v = 1.0 / den_v
+        # The sums of u's side are u * den_u, with den_u the next
+        # iteration's denominator; v's sums v * den_v are 1 by construction.
+        den_u = apply_u(v)
+        residual = float(np.abs(u * den_u - 1.0).max())
+        if residual > tol:
+            continue
+        row, col = (u, v) if order == "rows-first" else (v, u)
+        if a is None:
+            a = m.toarray()
         balanced = row[:, None] * a * col[None, :]
-        residual = float(
-            max(
-                np.abs(balanced.sum(axis=1) - 1.0).max(),
-                np.abs(balanced.sum(axis=0) - 1.0).max(),
-            )
-        )
+        residual = _sum_deviation(balanced)
         if residual <= tol:
             break
     else:
@@ -295,7 +320,6 @@ def sinkhorn_balance(
             f"(residual {residual:g})",
             residual=residual,
         )
-    balanced = row[:, None] * a * col[None, :]
     sm = StochasticMatrix(
         n=n, entries=balanced, support_spec=support_spec, residual=residual
     )

@@ -130,6 +130,32 @@ class TestSweep:
         # The balanced matrix maximizes the entropy functional.
         assert by_family["vdw_generic"]["bits"] >= by_family["phi3"]["bits"] - 1e-6
 
+    def test_generic_families_share_one_balancing(self, monkeypatch):
+        from permball import cli
+        from permball.core import BallSpec
+        from permball.errors import ConvergenceError
+
+        calls = []
+
+        def no_convergence(band, **kwargs):
+            calls.append(band.spec)
+            raise ConvergenceError("did not converge", residual=1.0)
+
+        monkeypatch.setattr(cli, "sinkhorn_balance", no_convergence)
+        families = ("bethe_generic", "phi3", "vdw_generic")
+        reasons = {}
+        for n, r in ((6, 2), (501, 1)):
+            cell = cli._sweep_cell((n, r, families, None, False, None))
+            by_family = {bv.family: bv for bv in cell["bounds"]}
+            assert by_family["phi3"].valid
+            for family in ("bethe_generic", "vdw_generic"):
+                assert not by_family[family].valid
+                reasons[n, family] = by_family[family].reason
+        assert calls == [BallSpec(6, 2)]
+        assert reasons[6, "vdw_generic"] == "did not converge"
+        assert reasons[6, "bethe_generic"] == "did not converge"
+        assert reasons[501, "vdw_generic"] == "generic families capped at n=500"
+
     def test_json_format(self, capsys, tmp_path):
         out = tmp_path / "s.json"
         code, _, _ = run(
@@ -277,17 +303,27 @@ class TestVerifyCommand:
         assert "PASS" in out and "FAIL" not in out
 
     def test_tampered_cache_exits_four(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        run(capsys, "exact", "--n", "4", "--r", "2", "--cache-dir", str(cache))
-        record = cache / "n4_r2.json"
-        data = json.loads(record.read_text())
-        data["exact_count"] = "99"
-        record.write_text(json.dumps(data))
-        code, out, err = run(
-            capsys, "verify", "--level", "quick", "--cache-dir", str(cache)
-        )
-        assert code == 4
-        assert "mismatch" in err
+        # A wrong count is served by exact and caught by the audit; a count
+        # with non-ASCII digits is refused by both.
+        for count, exact_code, message in (
+            ("99", 0, "mismatch"),
+            ("7\u00b2", 1, "non-decimal"),
+        ):
+            cache = tmp_path / f"cache-{exact_code}"
+            run(capsys, "exact", "--n", "4", "--r", "2", "--cache-dir", str(cache))
+            record = cache / "n4_r2.json"
+            data = json.loads(record.read_text())
+            data["exact_count"] = count
+            record.write_text(json.dumps(data))
+            code, _, _ = run(
+                capsys, "exact", "--n", "4", "--r", "2", "--cache-dir", str(cache)
+            )
+            assert code == exact_code
+            code, _, err = run(
+                capsys, "verify", "--level", "quick", "--cache-dir", str(cache)
+            )
+            assert code == 4
+            assert message in err
 
 
 class TestEnvironment:

@@ -6,7 +6,12 @@ import math
 import pytest
 
 from permball.core import BallSpec, BandMatrix
-from permball.errors import CapacityError, DimensionError, VerificationError
+from permball.errors import (
+    CapacityError,
+    DimensionError,
+    ValidationError,
+    VerificationError,
+)
 from permball.oracle import (
     applicable_backends,
     ball_size_band_dp,
@@ -178,3 +183,14 @@ class TestDispatch:
         assert ball_size_exact(spec, cache=cache) == 15  # trusted when not verifying
         with pytest.raises(VerificationError, match="disagreement"):
             ball_size_exact(spec, verify=True, cache=cache)
+
+    def test_misnamed_cache_record_is_rejected(self, tmp_path):
+        from permball.cache import ResultCache
+
+        cache = ResultCache(tmp_path)
+        cache.put(BallSpec(6, 2), ball_size_exact(BallSpec(6, 2)), "band-dp")
+        (tmp_path / "n5_r2.json").write_text((tmp_path / "n6_r2.json").read_text())
+        with pytest.raises(ValidationError, match="holds n=6, r=2"):
+            ball_size_exact(BallSpec(5, 2), cache=cache)
+        problems = cache.audit()
+        assert len(problems) == 1 and "n5_r2.json holds n=6, r=2" in problems[0]

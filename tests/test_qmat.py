@@ -164,6 +164,52 @@ class TestSinkhorn:
         b, _ = sinkhorn_balance(band, tol=1e-11, order="cols-first")
         assert np.abs(a.entries - b.entries).max() <= 1e-9
 
+    @pytest.mark.parametrize("order", ["rows-first", "cols-first"])
+    @pytest.mark.parametrize(
+        "n,r",
+        [
+            (8, 1), (60, 2), (200, 4),  # low rho
+            (9, 6), (40, 31), (200, 190),  # high rho
+            (10, 4), (100, 49), (200, 99),  # even-n boundary, r = (n-2)/2
+        ],
+    )
+    def test_band_input_matches_dense_reference(self, n, r, order):
+        # The implicit band (window sums) against its dense array (matvecs).
+        tol = 1e-10
+        band = BandMatrix(BallSpec(n, r))
+        implicit, implicit_scales = sinkhorn_balance(band, tol=tol, order=order)
+        dense, dense_scales = sinkhorn_balance(band.toarray(), tol=tol, order=order)
+        assert implicit_scales.iterations == dense_scales.iterations
+        assert np.abs(implicit.entries - dense.entries).max() <= 1e-12
+        assert implicit.residual <= tol and dense.residual <= tol
+        assert implicit_scales.residual == implicit.residual
+
+    def test_band_densified_once_and_recheck_above_tol_keeps_iterating(
+        self, monkeypatch
+    ):
+        from permball import qmat
+
+        band = BandMatrix(BallSpec(12, 3))
+        _, plain = sinkhorn_balance(band, tol=1e-10)
+        real_deviation, real_toarray = qmat._sum_deviation, BandMatrix.toarray
+        rechecks, densified = [], []
+
+        def first_recheck_fails(entries):
+            rechecks.append(entries.shape)
+            return np.inf if len(rechecks) == 1 else real_deviation(entries)
+
+        def counted_toarray(self):
+            densified.append(self.spec)
+            return real_toarray(self)
+
+        monkeypatch.setattr(qmat, "_sum_deviation", first_recheck_fails)
+        monkeypatch.setattr(BandMatrix, "toarray", counted_toarray)
+        balanced, scales = sinkhorn_balance(band, tol=1e-10)
+        assert scales.iterations == plain.iterations + 1
+        assert rechecks == [(12, 12), (12, 12)]
+        assert densified == [band.spec]
+        assert balanced.residual <= 1e-10
+
     def test_scaling_vectors_reconstruct_matrix(self):
         band = BandMatrix(BallSpec(7, 4))
         balanced, scales = sinkhorn_balance(band, tol=1e-11)
