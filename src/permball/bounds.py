@@ -28,7 +28,6 @@ from .scalar import (
 )
 
 LOWER_FAMILIES = ("phi1", "phi1_prime", "phi2", "phi3")
-UPPER_FAMILIES = ("Phi1",)
 CLOSED_FAMILIES = ("phi1", "Phi1", "phi1_prime", "phi2", "phi3")
 GENERIC_FAMILIES = ("vdw_generic", "bethe_generic")
 ALL_FAMILIES = CLOSED_FAMILIES + GENERIC_FAMILIES
@@ -118,14 +117,14 @@ def _invalid(family: str, spec: BallSpec, reason: str) -> BoundValue:
 def _phi1_bits(spec: BallSpec) -> float:
     n, r = spec.n, spec.r
     base = log2_factorial(n) + n * math.log2(2 * r + 1) - n * math.log2(n)
-    if 2 * r <= n - 1:
+    if spec.low_range:
         return base - 2 * r
     return base - n
 
 
 def _Phi1_bits(spec: BallSpec) -> float:
     n, r = spec.n, spec.r
-    if 2 * r <= n - 1:
+    if spec.low_range:
         table = log2_factorial_table(2 * r + 1)
         head = (n - 2 * r) / (2 * r + 1) * table[2 * r + 1]
         i = np.arange(r + 1, 2 * r + 1)
@@ -150,7 +149,7 @@ def _phi1_prime_bits(spec: BallSpec) -> float:
 
 def _phi2_bits(spec: BallSpec) -> float:
     n, r = spec.n, spec.r
-    if 2 * r <= n - 1:
+    if spec.low_range:
         return (
             log2_factorial(n)
             - 2.0 * r * (r + 1) / (2 * r + 1)
@@ -167,7 +166,7 @@ def phi3_low_t_parts(spec: BallSpec) -> dict[str, float]:
     a polynomial in the geometric sums at alpha_r.
     """
     n, r = spec.n, spec.r
-    if not (1 <= r and 2 * r <= n - 2):
+    if not spec.second_low_range:
         raise DomainError(
             f"low-range T decomposition requires 1 <= r <= (n-2)/2, got n={n}, r={r}"
         )
@@ -185,7 +184,7 @@ def phi3_low_t_parts(spec: BallSpec) -> dict[str, float]:
 
 def _phi3_bits(spec: BallSpec) -> float:
     n, r = spec.n, spec.r
-    if 1 <= r and 2 * r <= n - 2:
+    if spec.second_low_range:
         t = phi3_low_t_parts(spec)["T"]
         return log2_factorial(n) - n * math.log2(n) - t
     alpha = alpha_high_root(n, r).value
@@ -201,15 +200,17 @@ def finite_bound(family: str, spec: BallSpec) -> BoundValue:
     """Finite-n value of a closed bound family at a spec, in bits.
 
     phi1, Phi1, phi2 cover the whole radius range with a branch at
-    rho = 1/2; phi1_prime requires 1 <= r <= (n-1)/2; phi3 requires
-    1 <= r <= (n-2)/2 or (n-1)/2 < r < n-1.  Outside a family's range the
-    result is an inert invalid value.
+    rho = 1/2 (``BallSpec.low_range``); phi1_prime requires r >= 1 and
+    ``low_range``, i.e. 1 <= r <= (n-1)/2; phi3 requires
+    ``second_low_range`` or ``second_high_range``, i.e. 1 <= r <= (n-2)/2
+    or (n-1)/2 < r < n-1.  Outside a family's range the result is an inert
+    invalid value.
     """
     if family not in CLOSED_FAMILIES:
         raise ValidationError(
             f"unknown bound family {family!r}; expected one of {CLOSED_FAMILIES}"
         )
-    n, r = spec.n, spec.r
+    r = spec.r
     if family == "phi1":
         bits = _phi1_bits(spec)
     elif family == "Phi1":
@@ -217,15 +218,13 @@ def finite_bound(family: str, spec: BallSpec) -> BoundValue:
     elif family == "phi2":
         bits = _phi2_bits(spec)
     elif family == "phi1_prime":
-        if not (1 <= r and 2 * r <= n - 1):
+        if not (1 <= r and spec.low_range):
             return _invalid(
                 family, spec, f"phi1_prime requires 1 <= r <= (n-1)/2, got r={r}"
             )
         bits = _phi1_prime_bits(spec)
     else:
-        low_ok = 1 <= r and 2 * r <= n - 2
-        high_ok = 2 * r > n - 1 and r < n - 1
-        if not (low_ok or high_ok):
+        if not (spec.second_low_range or spec.second_high_range):
             return _invalid(
                 family,
                 spec,
@@ -233,10 +232,6 @@ def finite_bound(family: str, spec: BallSpec) -> BoundValue:
             )
         bits = _phi3_bits(spec)
     return BoundValue(family, DIRECTIONS[family], bits, spec, True)
-
-
-def all_finite_bounds(spec: BallSpec) -> list[BoundValue]:
-    return [finite_bound(family, spec) for family in CLOSED_FAMILIES]
 
 
 def best_finite_lower_bound(spec: BallSpec) -> float:

@@ -15,10 +15,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .asym import GAP_PAIRS, gap_curve_table
+from .asym import GAP_PAIRS, gap_curve_table, step_grid
 from .bounds import (
     ALL_FAMILIES,
     CLOSED_FAMILIES,
@@ -50,6 +51,7 @@ from .tables import (
     render_matrix_triplets_csv,
     render_rate_wide_csv,
     render_sweep_csv,
+    sweep_json_row,
     sweep_row,
 )
 from .verify import full_checks, quick_checks
@@ -79,14 +81,15 @@ def _parse_int_list(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo_text, hi_text = part.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValidationError(f"empty range {part!r}")
-            out.update(range(lo, hi + 1))
-        else:
-            out.add(int(part))
+        lo_text, dots, hi_text = part.partition("..")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
+        except ValueError:
+            raise ValidationError(f"cannot parse integer list {text!r}") from None
+        if hi < lo:
+            raise ValidationError(f"empty range {part!r}")
+        out.update(range(lo, hi + 1))
     if not out:
         raise ValidationError(f"no values in {text!r}")
     return sorted(out)
@@ -136,8 +139,9 @@ def cmd_exact(args) -> int:
 # -- sweep --------------------------------------------------------------
 
 
-def _sweep_cell(payload) -> dict:
-    n, r, families, cache_dir, override, backends = payload
+def _sweep_cell(families, cache_dir, override, backends, n: int, r: int) -> list:
+    """The (BoundValue, exact count or None) pair of each family at (n, r),
+    sorted by family.  ``cmd_sweep`` binds the leading settings once."""
     spec = BallSpec(n, r)
     cache = ResultCache(cache_dir) if cache_dir else None
     exact_count = None
@@ -168,10 +172,12 @@ def _sweep_cell(payload) -> dict:
             rows.append(
                 BoundValue(family, "lower", functional(band, balanced), spec, True)
             )
-    return {"n": n, "r": r, "exact": exact_count, "bounds": rows}
+    return [(bv, exact_count) for bv in sorted(rows, key=lambda b: b.family)]
 
 
 def cmd_sweep(args) -> int:
+    if args.r is not None and args.rho is not None:
+        raise ValidationError("give at most one of --r and --rho")
     n_values = _parse_int_list(args.n)
     if args.families == "all":
         families = list(CLOSED_FAMILIES)
@@ -186,34 +192,20 @@ def cmd_sweep(args) -> int:
     if args.backends and args.backends != "auto":
         backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
     cache = _resolve_cache(args)
-    cells = []
-    for n in n_values:
-        for spec in _specs_for(n, args):
-            cells.append(
-                (
-                    spec.n,
-                    spec.r,
-                    tuple(families),
-                    str(cache.directory),
-                    args.override_capacity,
-                    backends,
-                )
-            )
-    cells = sorted(set(cells))
+    cells = sorted({(spec.n, spec.r) for n in n_values for spec in _specs_for(n, args)})
+    ns, rs = zip(*cells)
+    cell = partial(
+        _sweep_cell, tuple(families), str(cache.directory), args.override_capacity,
+        backends,
+    )
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_cell, cells))
+            results = list(pool.map(cell, ns, rs))
     else:
-        results = [_sweep_cell(cell) for cell in cells]
-    results.sort(key=lambda item: (item["n"], item["r"]))
-    rows = []
-    succeeded = 0
-    for item in results:
-        for bv in sorted(item["bounds"], key=lambda b: b.family):
-            rows.append(sweep_row(bv, item["exact"]))
-            if bv.valid or item["exact"] is not None:
-                succeeded += 1
+        results = list(map(cell, ns, rs))
+    pairs = [pair for result in results for pair in result]
+    succeeded = sum(bv.valid or exact is not None for bv, exact in pairs)
     comments = (
         f"permball {__version__} sweep",
         f"config: n={args.n} r={args.r} rho={args.rho} families={','.join(families)}",
@@ -222,27 +214,26 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {
             "meta": {"tool_version": __version__, "families": families},
-            "rows": [
-                {
-                    "family": row[0],
-                    "direction": row[1],
-                    "n": row[2],
-                    "r": row[3],
-                    "bits": None if row[4] == "" else float(row[4]),
-                    "valid": row[5] == "true",
-                    "exact_count": row[6] or None,
-                }
-                for row in rows
-            ],
+            "rows": [sweep_json_row(bv, exact) for bv, exact in pairs],
         }
         text = json.dumps(payload, indent=1) + "\n"
     else:
-        text = render_sweep_csv(rows, comments)
+        text = render_sweep_csv([sweep_row(bv, exact) for bv, exact in pairs], comments)
     _emit(args.out, text)
     return EXIT_OK if succeeded else EXIT_SWEEP_EMPTY
 
 
 # -- figures ------------------------------------------------------------
+
+
+# Per rate figure: curves, x column, the reserved empty column and why it
+# is empty, title, and step_grid's first index (2 keeps delta = 1 in fig2).
+RATE_FIGURES = {
+    "fig2": (("ecc_old", "ecc_new"), "delta", "anticode",
+             "bound formula out of scope", "ball-packing rate bounds", 2),
+    "fig3": (("cover_old", "cover_new"), "rho", "construction",
+             "code construction out of scope", "covering rate bounds", 1),
+}
 
 
 def _plot_curves(path: Path, x_label: str, y_label: str, curves: dict) -> bool:
@@ -291,44 +282,31 @@ def cmd_figures(args) -> int:
             for pair in GAP_PAIRS
         }
         x_label, y_label = "rho", "gap (bits/symbol)"
-    elif args.which == "fig2":
-        grid = [step * k for k in range(2, int(round(1.0 / step)) + 1)]
-        points = rate_table(("ecc_old", "ecc_new"), grid)
+    elif args.which in RATE_FIGURES:
+        kinds, x_name, unavailable, why, title, first = RATE_FIGURES[args.which]
+        points = rate_table(kinds, step_grid(step, first))
         if args.format == "long":
             text = render_rate_csv(points)
         else:
             text = render_rate_wide_csv(
                 points,
-                ("ecc_old", "ecc_new"),
-                "delta",
-                unavailable=("anticode",),
+                kinds,
+                x_name,
+                unavailable=(unavailable,),
                 comments=(
-                    f"permball {__version__} ball-packing rate bounds, grid step {step}",
+                    f"permball {__version__} {title}, grid step {step}",
                     "rates in bits per symbol, no standalone log2(n) term",
-                    "column anticode: unavailable (bound formula out of scope)",
+                    f"column {unavailable}: unavailable ({why})",
                 ),
             )
-        curves = _rate_curves(points, ("ecc_old", "ecc_new"))
-        x_label, y_label = "delta", "rate (bits/symbol)"
-    elif args.which == "fig3":
-        grid = [step * k for k in range(1, int(round(1.0 / step)))]
-        points = rate_table(("cover_old", "cover_new"), grid)
-        if args.format == "long":
-            text = render_rate_csv(points)
-        else:
-            text = render_rate_wide_csv(
-                points,
-                ("cover_old", "cover_new"),
-                "rho",
-                unavailable=("construction",),
-                comments=(
-                    f"permball {__version__} covering rate bounds, grid step {step}",
-                    "rates in bits per symbol, no standalone log2(n) term",
-                    "column construction: unavailable (code construction out of scope)",
-                ),
+        curves = {
+            kind: (
+                [p.x for p in points if p.kind == kind],
+                [p.rate_bits for p in points if p.kind == kind],
             )
-        curves = _rate_curves(points, ("cover_old", "cover_new"))
-        x_label, y_label = "rho", "rate (bits/symbol)"
+            for kind in kinds
+        }
+        x_label, y_label = x_name, "rate (bits/symbol)"
     else:
         raise ValidationError(f"unknown figure {args.which!r}")
     _emit(out, text)
@@ -337,16 +315,6 @@ def cmd_figures(args) -> int:
         if _plot_curves(png, x_label, y_label, curves):
             print(f"wrote {png}", file=sys.stderr)
     return EXIT_OK
-
-
-def _rate_curves(points, kinds):
-    return {
-        kind: (
-            [p.x for p in points if p.kind == kind],
-            [p.rate_bits for p in points if p.kind == kind],
-        )
-        for kind in kinds
-    }
 
 
 # -- qmatrix ------------------------------------------------------------

@@ -9,7 +9,6 @@ array edges.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -46,6 +45,24 @@ class BallSpec:
         if self.n == 1:
             return Fraction(0)
         return Fraction(self.r, self.n - 1)
+
+    # The three radius ranges on which the bounds and the doubly-stochastic
+    # constructions split (rho = 1/2 sits at 2r = n-1).
+
+    @property
+    def low_range(self) -> bool:
+        """2r <= n-1: the low branch of phi1, Phi1, phi2 and the first class."""
+        return 2 * self.r <= self.n - 1
+
+    @property
+    def second_low_range(self) -> bool:
+        """1 <= r <= (n-2)/2: the domain of the second-class low matrix."""
+        return 1 <= self.r and 2 * self.r <= self.n - 2
+
+    @property
+    def second_high_range(self) -> bool:
+        """(n-1)/2 < r < n-1: the domain of the second-class high matrix."""
+        return 2 * self.r > self.n - 1 and self.r < self.n - 1
 
 
 @dataclass(frozen=True)
@@ -213,9 +230,3 @@ def radius_from_rho(rho: Fraction | NormalizedRadius, n: int) -> BallSpec:
             f"n={n}; nearest admissible n is {nearest}"
         )
     return BallSpec(n, int(product))
-
-
-def all_permutations(n: int) -> Iterator[PermutationVector]:
-    """All of S_n in lexicographic order (use only for small n)."""
-    for image in itertools.permutations(range(1, n + 1)):
-        yield PermutationVector(image)

@@ -308,7 +308,3 @@ def ball_size_exact(
         spec, verify=verify, cache=cache, override_capacity=override_capacity
     ).value
 
-
-def log2_ball_size(spec: BallSpec, **kwargs) -> float:
-    """log2 of the exact count (bits), for comparing against bound values."""
-    return math.log2(ball_size_exact(spec, **kwargs))

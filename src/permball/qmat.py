@@ -146,20 +146,18 @@ def q_first_class(spec: BallSpec) -> StochasticMatrix:
     rationals.
 
     Entry values are 1/(2r+1) with 2/(2r+1) corner triangles when
-    2r <= n-1, and 1/n with 2/n corner triangles when 2r >= n-1.  At
-    2r = n-1 the two regimes coincide; both are built and asserted equal.
+    2r <= n-1 (``BallSpec.low_range``), and 1/n with 2/n corner triangles
+    when 2r >= n-1.  At rho = 1/2 the two regimes coincide; both are built
+    and asserted equal.
     """
     n, r = spec.n, spec.r
-    if 2 * r == n - 1:
-        num_low, d_low = _first_class_numerators(spec, True)
+    num, denominator = _first_class_numerators(spec, spec.low_range)
+    if spec.rho == Fraction(1, 2):
         num_high, d_high = _first_class_numerators(spec, False)
-        if d_low != d_high or (num_low != num_high).any():
+        if denominator != d_high or (num != num_high).any():
             raise ValidationError(
                 f"regime-boundary mismatch for first-class matrix at n={n}, r={r}"
             )
-        num, denominator = num_low, d_low
-    else:
-        num, denominator = _first_class_numerators(spec, 2 * r < n - 1)
     entries = num / float(denominator)
     sm = _finish(entries, spec, numerators=num, denominator=denominator)
     if not sm.exactly_doubly_stochastic():
@@ -178,7 +176,7 @@ def q_second_low(spec: BallSpec) -> StochasticMatrix:
     blocks, where alpha solves alpha^(r+1) = alpha + 1.
     """
     n, r = spec.n, spec.r
-    if not (1 <= r and 2 * r <= n - 2):
+    if not spec.second_low_range:
         raise DomainError(
             f"second-class low matrix requires 1 <= r <= (n-2)/2, got n={n}, r={r}"
         )
@@ -206,7 +204,7 @@ def q_second_high(spec: BallSpec) -> StochasticMatrix:
     band matrix.
     """
     n, r = spec.n, spec.r
-    if not (2 * r > n - 1 and r < n - 1):
+    if not spec.second_high_range:
         raise DomainError(
             f"second-class high matrix requires (n-1)/2 < r < n-1, got n={n}, r={r}"
         )
@@ -261,7 +259,6 @@ def sinkhorn_balance(
     max_iter: int = SINKHORN_MAX_ITER,
     *,
     order: str = "rows-first",
-    support_spec: BallSpec | None = None,
 ) -> tuple[StochasticMatrix, ScalingVectors]:
     """Alternately normalize rows and columns until both sum to 1 +- tol.
 
@@ -276,11 +273,12 @@ def sinkhorn_balance(
     if order not in ("rows-first", "cols-first"):
         raise ValidationError(f"unknown iteration order {order!r}")
     if isinstance(m, BandMatrix):
-        support_spec = support_spec or m.spec
+        spec = m.spec
         n = m.n
         a = None
         apply_u = apply_v = _window_sums(m.spec)  # the band is symmetric
     else:
+        spec = None
         a = np.asarray(m, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError("sinkhorn_balance requires a square matrix")
@@ -320,9 +318,7 @@ def sinkhorn_balance(
             f"(residual {residual:g})",
             residual=residual,
         )
-    sm = StochasticMatrix(
-        n=n, entries=balanced, support_spec=support_spec, residual=residual
-    )
-    if support_spec is not None and not sm.support_equals_band():
+    sm = StochasticMatrix(n=n, entries=balanced, support_spec=spec, residual=residual)
+    if spec is not None and not sm.support_equals_band():
         raise ValidationError("balanced matrix support differs from the band")
     return sm, ScalingVectors(row, col, iterations, residual)

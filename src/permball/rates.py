@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .asym import CROSSOVER_XI
 from .bounds import best_finite_lower_bound
 from .core import BallSpec, radius_from_rho
 from .errors import CapacityError, DomainError, ValidationError
@@ -35,15 +36,11 @@ class RatePoint:
     n: int | None = None
 
 
-def xi_crossover() -> float:
-    return (2.0 - LOG2E - math.log2(LOG2E)) / (3.0 - 2.0 * LOG2E)
-
-
 def _ecc_asymptotic(delta: float, variant: str) -> float:
     if variant == "old":
         return delta + math.log2(1.0 / delta)
     half = delta / 2.0
-    if half <= xi_crossover():
+    if half <= CROSSOVER_XI:
         return half + math.log2(1.0 / delta)
     return (
         (LOG2E - 1.0) * (delta - 1.0)
@@ -58,7 +55,7 @@ def _cover_asymptotic(rho: float, variant: str) -> float:
         if rho <= 0.5:
             return 2.0 * rho + math.log2(1.0 / rho)
         return 2.0 * (1.0 - rho)
-    if rho <= xi_crossover():
+    if rho <= CROSSOVER_XI:
         return rho - 1.0 + math.log2(1.0 / rho)
     if rho <= 0.5:
         return (

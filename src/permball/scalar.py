@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, DomainError
+from .core import BallSpec
+from .errors import CapacityError, ConvergenceError, DomainError, ValidationError
 
 LOG2E = math.log2(math.e)
 LN2 = math.log(2.0)
@@ -190,14 +191,19 @@ def alpha_low_root(r: int) -> AlphaRoot:
 def alpha_high_root(n: int, r: int) -> AlphaRoot:
     """Unique positive root of a^(n-r) + (2r-n)*a - (2r-n+2) = 0.
 
-    Defined for (n-1)/2 < r < n-1; the root lies in (1, 2^(1/(n-r))].
+    Defined for (n-1)/2 < r < n-1 (``BallSpec.second_high_range``); the
+    root lies in (1, 2^(1/(n-r))].
     Solved in d = a - 1: the equation becomes
     exp((n-r)*log1p(d)) - 2 + (2r-n)*d = 0, avoiding the catastrophic
     cancellation of the printed form when 2r-n is large.
     """
     if not (isinstance(n, int) and isinstance(r, int)):
         raise DomainError("alpha_high_root requires integer n, r")
-    if not (2 * r > n - 1 and r < n - 1):
+    try:
+        in_range = BallSpec(n, r).second_high_range
+    except ValidationError:  # no ball at all, so not in the range either
+        in_range = False
+    if not in_range:
         raise DomainError(
             f"alpha_high_root requires (n-1)/2 < r < n-1, got n={n}, r={r}"
         )

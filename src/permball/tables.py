@@ -87,6 +87,15 @@ def sweep_row(bv: BoundValue, exact_count: int | None) -> tuple:
     )
 
 
+def sweep_json_row(bv: BoundValue, exact_count: int | None) -> dict:
+    """``sweep_row`` as a JSON object: null for a missing value, a boolean
+    and numbers where the CSV has text; the count stays a decimal string."""
+    bits = None if math.isnan(bv.bits) else float(bv.bits)
+    count = None if exact_count is None else str(exact_count)
+    values = (bv.family, bv.direction, bv.spec.n, bv.spec.r, bits, bv.valid, count)
+    return dict(zip(SWEEP_HEADER, values))
+
+
 def render_sweep_csv(rows: Iterable[tuple], comments: Sequence[str] = ()) -> str:
     return render_csv(SWEEP_HEADER, rows, comments)
 

@@ -150,24 +150,20 @@ def _double_stochasticity(max_n: int) -> str | None:
                 return f"first-class support mismatch at n={n}, r={r}"
             if not q.is_symmetric():
                 return f"first-class asymmetry at n={n}, r={r}"
-            if 1 <= r and 2 * r <= n - 2:
-                low = q_second_low(spec)
-                if low.max_sum_deviation() > 1e-9:
+            for label, in_range, build in (
+                ("low", spec.second_low_range, q_second_low),
+                ("high", spec.second_high_range, q_second_high),
+            ):
+                if not in_range:
+                    continue
+                second = build(spec)
+                if second.max_sum_deviation() > 1e-9:
                     return (
-                        f"second-class low deviation {low.max_sum_deviation():g} "
-                        f"at n={n}, r={r}"
+                        f"second-class {label} deviation "
+                        f"{second.max_sum_deviation():g} at n={n}, r={r}"
                     )
-                if not low.support_equals_band():
-                    return f"second-class low support mismatch at n={n}, r={r}"
-            if 2 * r > n - 1 and r < n - 1:
-                high = q_second_high(spec)
-                if high.max_sum_deviation() > 1e-9:
-                    return (
-                        f"second-class high deviation {high.max_sum_deviation():g} "
-                        f"at n={n}, r={r}"
-                    )
-                if not high.support_equals_band():
-                    return f"second-class high support mismatch at n={n}, r={r}"
+                if not second.support_equals_band():
+                    return f"second-class {label} support mismatch at n={n}, r={r}"
     return None
 
 

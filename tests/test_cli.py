@@ -114,6 +114,25 @@ class TestSweep:
         )
         assert code == 1 and "not integral" in err
 
+    @pytest.mark.parametrize("argv", [("--n", "abc"), ("--n", "4", "--r", "1..x")])
+    def test_malformed_integer_list_exits_one(self, capsys, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sweep", *argv,
+            "--out", str(out), "--cache-dir", str(tmp_path / "c"),
+        )
+        assert code == 1 and "cannot parse integer list" in err
+        assert not out.exists()
+
+    def test_r_and_rho_together_exit_one(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sweep", "--n", "5", "--r", "1", "--rho", "1/2",
+            "--out", str(out), "--cache-dir", str(tmp_path / "c"),
+        )
+        assert code == 1 and "at most one of --r and --rho" in err
+        assert not out.exists()
+
     def test_generic_families(self, capsys, tmp_path):
         out = tmp_path / "g.csv"
         code, _, _ = run(
@@ -145,8 +164,8 @@ class TestSweep:
         families = ("bethe_generic", "phi3", "vdw_generic")
         reasons = {}
         for n, r in ((6, 2), (501, 1)):
-            cell = cli._sweep_cell((n, r, families, None, False, None))
-            by_family = {bv.family: bv for bv in cell["bounds"]}
+            cell = cli._sweep_cell(families, None, False, None, n, r)
+            by_family = {bv.family: bv for bv, _ in cell}
             assert by_family["phi3"].valid
             for family in ("bethe_generic", "vdw_generic"):
                 assert not by_family[family].valid
@@ -221,6 +240,20 @@ class TestFigures:
         else:
             assert not png.exists()
             assert "matplotlib unavailable" in caplog.text
+
+    @pytest.mark.parametrize(
+        "which,step", [("fig2", "0"), ("fig1", "-0.5"), ("fig3", "2")]
+    )
+    def test_grid_step_outside_accepted_range_exits_one(
+        self, capsys, tmp_path, which, step
+    ):
+        out = tmp_path / "f.csv"
+        code, _, err = run(
+            capsys, "figures", which, "--grid-step", step, "--out", str(out),
+            "--no-plot",
+        )
+        assert code == 1 and "grid step" in err and "outside" in err
+        assert not out.exists()
 
     def test_fig1_no_plot(self, capsys, tmp_path):
         out = tmp_path / "f.csv"

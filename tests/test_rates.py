@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from permball.asym import CROSSOVER_XI
 from permball.core import BallSpec
 from permball.errors import DomainError, ValidationError
 from permball.oracle import ball_size_exact
@@ -13,7 +14,6 @@ from permball.rates import (
     covering_rate_upper,
     ecc_rate_upper,
     rate_table,
-    xi_crossover,
 )
 from permball.scalar import LOG2E, log2_factorial, t_hat
 
@@ -40,7 +40,7 @@ class TestEccAsymptotic:
         assert expected == pytest.approx(0.7046, abs=1e-4)
 
     def test_branch_continuity_at_crossover(self):
-        xi = xi_crossover()
+        xi = CROSSOVER_XI
         eps = 1e-9
         left = ecc_rate_upper(2 * xi - eps, "new").rate_bits
         right = ecc_rate_upper(2 * xi + eps, "new").rate_bits
@@ -81,7 +81,7 @@ class TestCoverAsymptotic:
         assert expected == pytest.approx(0.106, abs=1e-3)
 
     def test_branch_continuity(self):
-        xi = xi_crossover()
+        xi = CROSSOVER_XI
         eps = 1e-9
         assert abs(
             covering_rate_upper(xi - eps, "new").rate_bits
