@@ -159,13 +159,15 @@ def step_grid(step: float, first: int = 1) -> list[float]:
     """The figure grid step*k for round(1/step) - 1 consecutive k from
     ``first``: rho in (0, 1) from first = 1, delta in (0, 1] from first = 2.
 
+    A point above 1 (the last one from first = 2 when round(1/step) >
+    1/step, e.g. 0.28*4) is taken as 1, the largest admissible delta.
     Steps outside [GRID_MIN_STEP, 1/2] are rejected; every step inside
     gives at least one point.
     """
     if not GRID_MIN_STEP <= step <= 0.5:
         raise ValidationError(f"grid step {step} outside [{GRID_MIN_STEP:g}, 1/2]")
     count = int(round(1.0 / step)) - 1
-    return [step * k for k in range(first, first + count)]
+    return [min(step * k, 1.0) for k in range(first, first + count)]
 
 
 def gap_curve_table(

@@ -55,30 +55,40 @@ class BoundValue:
     reason: str = ""
 
 
-def _as_matrix(m: np.ndarray | BandMatrix) -> np.ndarray:
+def _relative_entropy_terms(
+    m: np.ndarray | BandMatrix, q: StochasticMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """q's positive values and their terms -q*log2(q/m), read at q's cells
+    once m is known to be a non-negative matrix of q's size that is
+    positive wherever q is."""
     if isinstance(m, BandMatrix):
-        return m.toarray()
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("bound functional requires a square matrix")
-    if (a < 0).any():
-        raise DomainError("bound functional requires non-negative entries")
-    return a
-
-
-def _check_support(m: np.ndarray, q: StochasticMatrix) -> np.ndarray:
-    if q.n != m.shape[0]:
-        raise DimensionError(
-            f"matrix size {m.shape[0]} differs from Q size {q.n}"
-        )
-    qe = q.entries
-    bad = (qe > 0) & (m == 0)
+        size = m.n
+    else:
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError("bound functional requires a square matrix")
+        if (m < 0).any():
+            raise DomainError("bound functional requires non-negative entries")
+        size = m.shape[0]
+    if size != q.n:
+        raise DimensionError(f"matrix size {size} differs from Q size {q.n}")
+    positive = q.values > 0
+    qv = q.values if positive.all() else q.values[positive]
+    if isinstance(m, BandMatrix) and m.spec.r >= q.spec.r:
+        return qv, -qv * np.log2(qv)  # q's band lies in m's, where m is 1
+    rows, cols = q.cells
+    if isinstance(m, BandMatrix):
+        at_cells = (np.abs(rows - cols) <= m.spec.r).astype(float)
+    else:
+        at_cells = m[rows, cols]
+    bad = positive & (at_cells == 0)
     if bad.any():
-        i, j = np.argwhere(bad)[0]
+        k = int(np.argmax(bad))
         raise SupportError(
-            f"Q is positive at cell ({i + 1},{j + 1}) where the matrix is zero"
+            f"Q is positive at cell ({rows[k] + 1},{cols[k] + 1}) "
+            "where the matrix is zero"
         )
-    return qe
+    return qv, -qv * np.log2(qv / at_cells[positive])
 
 
 def vdw_sinkhorn_bound(m: np.ndarray | BandMatrix, q: StochasticMatrix) -> float:
@@ -87,22 +97,15 @@ def vdw_sinkhorn_bound(m: np.ndarray | BandMatrix, q: StochasticMatrix) -> float
     Requires support(q) contained in support(m); cells with q = 0
     contribute nothing (the 0*log2(0/0) = 0 convention).
     """
-    a = _as_matrix(m)
-    qe = _check_support(a, q)
+    _, h = _relative_entropy_terms(m, q)
     n = q.n
-    mask = qe > 0
-    h = float(np.sum(-qe[mask] * np.log2(qe[mask] / a[mask])))
-    return log2_factorial(n) - n * math.log2(n) + h
+    return log2_factorial(n) - n * math.log2(n) + float(np.sum(h))
 
 
 def bethe_bound(m: np.ndarray | BandMatrix, q: StochasticMatrix) -> float:
     """Lower bound on log2 per(m) through the Bethe permanent:
     sum over support of [-q*log2(q/m) + (1-q)*log2(1-q)]."""
-    a = _as_matrix(m)
-    qe = _check_support(a, q)
-    mask = qe > 0
-    qv = qe[mask]
-    h = -qv * np.log2(qv / a[mask])
+    qv, h = _relative_entropy_terms(m, q)
     one_minus = 1.0 - qv
     extra = np.zeros_like(qv)
     positive = one_minus > 0

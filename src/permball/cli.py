@@ -58,7 +58,8 @@ from .verify import full_checks, quick_checks
 
 logger = logging.getLogger("permball")
 
-# Dense Sinkhorn balancing for the generic sweep families stays below this.
+# The generic sweep families stop here: they hold O(n r) cell arrays, and the
+# Sinkhorn window sums lose relative accuracy in proportion to n/(2r+1).
 GENERIC_FAMILY_MAX_N = 500
 
 EXIT_OK = 0

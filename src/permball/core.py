@@ -137,8 +137,9 @@ def band_entry(spec: BallSpec, i: int, j: int) -> int:
 class BandMatrix:
     """Implicit n x n band matrix with ones exactly on |i-j| <= r.
 
-    Entries are computed, never stored, so arbitrarily large n costs O(1)
-    memory.  Dense views exist for the small-n numeric backends.
+    Entries are computed, never stored.  Numeric consumers work on the
+    O(n r) cell list from ``cells``; only the exact-arithmetic Ryser
+    backend reads dense rows.
     """
 
     spec: BallSpec
@@ -158,14 +159,17 @@ class BandMatrix:
         hi = min(self.n, i + self.spec.r)
         return hi - lo + 1
 
-    def support_mask(self) -> np.ndarray:
-        """Dense boolean mask of the band (materializes n x n)."""
-        idx = np.arange(1, self.n + 1)
-        return np.abs(idx[:, None] - idx[None, :]) <= self.spec.r
-
-    def toarray(self) -> np.ndarray:
-        """Dense float 0/1 matrix (materializes n x n)."""
-        return self.support_mask().astype(float)
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-based (rows, cols) of the |i-j| <= r cells in row-major
+        order, built in O(n r) without an n x n mask."""
+        idx = np.arange(self.n)
+        lo = np.maximum(idx - self.spec.r, 0)
+        counts = np.minimum(idx + self.spec.r + 1, self.n) - lo
+        rows = np.repeat(idx, counts)
+        # Column = lo of the row plus the cell's offset within its row.
+        starts = np.cumsum(counts) - counts
+        cols = np.arange(rows.size) + np.repeat(lo - starts, counts)
+        return rows, cols
 
     def rows(self) -> Iterator[list[int]]:
         """Row-by-row dense integer view, for exact-arithmetic consumers."""

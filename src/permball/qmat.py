@@ -10,7 +10,7 @@ family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -23,120 +23,144 @@ from .scalar import alpha_high_root, alpha_low_root
 STOCHASTIC_TOL = 1e-9
 SINKHORN_MAX_ITER = 200_000
 
+Cells = tuple[np.ndarray, np.ndarray]
 
-def _sum_deviation(entries: np.ndarray) -> float:
+
+def _line_sums(cells: Cells, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of the cell values x, in x's dtype, so integer
+    numerators sum exactly.  Each row's cells are one contiguous run."""
+    rows, cols = cells
+    row_sums = np.add.reduceat(x, np.searchsorted(rows, np.arange(n)))
+    col_sums = np.zeros(n, dtype=x.dtype)
+    np.add.at(col_sums, cols, x)
+    return row_sums, col_sums
+
+
+def _sum_deviation(cells: Cells, values: np.ndarray, n: int) -> float:
     """Max deviation of any row or column sum from 1."""
-    return float(
-        max(
-            np.abs(entries.sum(axis=1) - 1.0).max(),
-            np.abs(entries.sum(axis=0) - 1.0).max(),
-        )
-    )
+    return float(max(np.abs(s - 1.0).max() for s in _line_sums(cells, values, n)))
 
 
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
-    """Dense doubly-stochastic matrix whose support is a band.
+    """Doubly-stochastic matrix stored as its values on the cells of
+    ``spec``'s band (row-major, as ``BandMatrix.cells``); other entries are 0.
 
-    ``entries`` is the float view used by the bound evaluators.  The first
-    class construction additionally carries an exact integer-numerator
-    grid over a common denominator, so double stochasticity can be asserted
-    with equality rather than a tolerance.  ``residual`` records the
-    achieved max row/column-sum deviation of the float view.
+    The first class construction additionally carries exact integer
+    numerators on the same cells over a common denominator, so double
+    stochasticity can be asserted with equality rather than a tolerance.
+    ``residual`` records the achieved max row/column-sum deviation.
     """
 
-    n: int
-    entries: np.ndarray
-    support_spec: BallSpec | None = None
+    spec: BallSpec
+    values: np.ndarray
     exact_numerators: np.ndarray | None = None
     exact_denominator: int | None = None
     residual: float = 0.0
+    # Zero-based (rows, cols) of ``values``; built from ``spec`` if omitted.
+    cells: Cells | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.cells is None:
+            object.__setattr__(self, "cells", BandMatrix(self.spec).cells())
+
+    @property
+    def n(self) -> int:
+        return self.spec.n
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense n x n view, built on every access (export and tests)."""
+        dense = np.zeros((self.n, self.n))
+        dense[self.cells] = self.values
+        return dense
 
     @property
     def is_exact(self) -> bool:
         return self.exact_numerators is not None
 
-    def entry(self, i: int, j: int) -> float:
+    def _positions(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Indices into ``values`` of the zero-based band cells (i, j)."""
+        row_starts = np.searchsorted(self.cells[0], np.arange(self.n))
+        return row_starts[i] + j - np.maximum(i - self.spec.r, 0)
+
+    def _at(self, x: np.ndarray, i: int, j: int) -> np.number | int:
+        """Cell array x at one-based (i, j); 0 off the band."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise DimensionError(f"index ({i},{j}) outside 1..{self.n}")
-        return float(self.entries[i - 1, j - 1])
+        if abs(i - j) > self.spec.r:
+            return 0
+        return x[int(self._positions(i - 1, j - 1))]
+
+    def entry(self, i: int, j: int) -> float:
+        return float(self._at(self.values, i, j))
 
     def entry_exact(self, i: int, j: int) -> Fraction:
         if not self.is_exact:
             raise ValidationError("matrix was not built in exact mode")
-        return Fraction(
-            int(self.exact_numerators[i - 1, j - 1]), self.exact_denominator
-        )
+        numerator = int(self._at(self.exact_numerators, i, j))
+        return Fraction(numerator, self.exact_denominator)
 
     def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
+        return _line_sums(self.cells, self.values, self.n)[0]
 
     def col_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
+        return _line_sums(self.cells, self.values, self.n)[1]
 
     def max_sum_deviation(self) -> float:
-        return _sum_deviation(self.entries)
+        return _sum_deviation(self.cells, self.values, self.n)
 
     def exactly_doubly_stochastic(self) -> bool:
         """Exact-rational check: every row/column numerator sum equals D."""
         if not self.is_exact:
             raise ValidationError("matrix was not built in exact mode")
-        num = self.exact_numerators
-        d = self.exact_denominator
-        return bool((num.sum(axis=1) == d).all() and (num.sum(axis=0) == d).all())
+        num, d = self.exact_numerators, self.exact_denominator
+        return all((s == d).all() for s in _line_sums(self.cells, num, self.n))
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
-        if self.is_exact:
-            return bool((self.exact_numerators == self.exact_numerators.T).all())
-        return bool(np.abs(self.entries - self.entries.T).max() <= tol)
+        x = self.exact_numerators if self.is_exact else self.values
+        rows, cols = self.cells
+        mirrored = x[self._positions(cols, rows)]
+        return bool(np.abs(x - mirrored).max() <= (0 if self.is_exact else tol))
 
     def support_equals_band(self) -> bool:
-        if self.support_spec is None:
-            raise ValidationError("matrix carries no band support spec")
-        mask = BandMatrix(self.support_spec).support_mask()
-        return bool(((self.entries > 0) == mask).all())
+        """Every band cell is positive (the cells are the band)."""
+        return bool((self.values > 0).all())
 
 
 def _finish(
-    entries: np.ndarray,
     spec: BallSpec,
+    cells: Cells,
+    values: np.ndarray,
     *,
     numerators: np.ndarray | None = None,
     denominator: int | None = None,
-    tol: float = STOCHASTIC_TOL,
 ) -> StochasticMatrix:
-    residual = _sum_deviation(entries)
-    if residual > tol:
+    residual = _sum_deviation(cells, values, spec.n)
+    if residual > STOCHASTIC_TOL:
         raise ConvergenceError(
             f"constructed matrix misses double stochasticity: "
-            f"residual {residual:g} > {tol:g}",
+            f"residual {residual:g} > {STOCHASTIC_TOL:g}",
             residual=residual,
         )
-    sm = StochasticMatrix(
-        n=spec.n,
-        entries=entries,
-        support_spec=spec,
-        exact_numerators=numerators,
-        exact_denominator=denominator,
-        residual=residual,
-    )
+    sm = StochasticMatrix(spec, values, numerators, denominator, residual, cells)
     if not sm.support_equals_band():
         raise ValidationError("constructed matrix support differs from the band")
     return sm
 
 
-def _first_class_numerators(spec: BallSpec, low_regime: bool) -> tuple[np.ndarray, int]:
+def _first_class_numerators(
+    spec: BallSpec, cells: Cells, low_regime: bool
+) -> tuple[np.ndarray, int]:
     n, r = spec.n, spec.r
-    idx = np.arange(1, n + 1)
-    ij = idx[:, None] + idx[None, :]
-    band = BandMatrix(spec).support_mask()
+    ij = cells[0] + cells[1] + 2  # i + j, one-based
     if low_regime:
         denominator = 2 * r + 1
         corners = (ij <= r + 1) | (ij >= 2 * n - r + 1)
     else:
         denominator = n
         corners = (ij <= n - r) | (ij >= n + r + 2)
-    num = band.astype(np.int64)
+    num = np.ones(ij.size, dtype=np.int64)
     num[corners] = 2
     return num, denominator
 
@@ -151,15 +175,16 @@ def q_first_class(spec: BallSpec) -> StochasticMatrix:
     and asserted equal.
     """
     n, r = spec.n, spec.r
-    num, denominator = _first_class_numerators(spec, spec.low_range)
+    cells = BandMatrix(spec).cells()
+    num, denominator = _first_class_numerators(spec, cells, spec.low_range)
     if spec.rho == Fraction(1, 2):
-        num_high, d_high = _first_class_numerators(spec, False)
+        num_high, d_high = _first_class_numerators(spec, cells, False)
         if denominator != d_high or (num != num_high).any():
             raise ValidationError(
                 f"regime-boundary mismatch for first-class matrix at n={n}, r={r}"
             )
-    entries = num / float(denominator)
-    sm = _finish(entries, spec, numerators=num, denominator=denominator)
+    values = num / float(denominator)
+    sm = _finish(spec, cells, values, numerators=num, denominator=denominator)
     if not sm.exactly_doubly_stochastic():
         raise ValidationError(
             f"first-class matrix rational sums differ from 1 at n={n}, r={r}"
@@ -182,16 +207,14 @@ def q_second_low(spec: BallSpec) -> StochasticMatrix:
         )
     alpha = alpha_low_root(r).value
     c = (alpha - 1.0) / (alpha + 1.0)
-    idx = np.arange(1, n + 1)
-    i = idx[:, None]
-    j = idx[None, :]
+    cells = BandMatrix(spec).cells()
+    i, j = cells[0] + 1, cells[1] + 1
     expo = np.abs(i - j)
     top = (i <= r + 1) & (j <= r + 1)
     bot = (i >= n - r) & (j >= n - r)
     expo = np.where(top, (r + 1 - i) + (r + 1 - j), expo)
     expo = np.where(bot, (i - (n - r)) + (j - (n - r)), expo)
-    entries = np.where(BandMatrix(spec).support_mask(), c * np.power(alpha, expo), 0.0)
-    return _finish(entries, spec)
+    return _finish(spec, cells, c * np.power(alpha, expo))
 
 
 def q_second_high(spec: BallSpec) -> StochasticMatrix:
@@ -216,9 +239,9 @@ def q_second_high(spec: BallSpec) -> StochasticMatrix:
     right = idx >= r + 1
     v[left] = (n - r) - idx[left]
     v[right] = idx[right] - (r + 1)
-    expo = v[:, None] + v[None, :]
-    entries = np.where(BandMatrix(spec).support_mask(), c * np.power(alpha, expo), 0.0)
-    return _finish(entries, spec)
+    cells = BandMatrix(spec).cells()
+    expo = v[cells[0]] + v[cells[1]]
+    return _finish(spec, cells, c * np.power(alpha, expo))
 
 
 @dataclass(frozen=True)
@@ -265,20 +288,18 @@ def sinkhorn_balance(
     Returns the balanced matrix together with the accumulated diagonal
     scales.  Requires a matrix with total support (every row and column
     must carry positive mass); the band matrices qualify.  A ``BandMatrix``
-    stays implicit while iterating (each sweep is a pair of O(n) window
-    sums); the dense balanced matrix is built once, at convergence, and
-    its row and column sums give the returned residual.  Raises
+    stays implicit (each sweep is a pair of O(n) window sums, and the
+    result holds only the band cells); a dense input is the band of radius
+    n-1, zeros allowed.  At convergence the cell values are built and
+    their row and column sums give the returned residual.  Raises
     ConvergenceError carrying the residual if max_iter is exhausted.
     """
     if order not in ("rows-first", "cols-first"):
         raise ValidationError(f"unknown iteration order {order!r}")
     if isinstance(m, BandMatrix):
-        spec = m.spec
-        n = m.n
-        a = None
+        spec, weights = m.spec, 1.0
         apply_u = apply_v = _window_sums(m.spec)  # the band is symmetric
     else:
-        spec = None
         a = np.asarray(m, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError("sinkhorn_balance requires a square matrix")
@@ -286,13 +307,14 @@ def sinkhorn_balance(
             raise DomainError("sinkhorn_balance requires non-negative entries")
         if (a.sum(axis=1) == 0).any() or (a.sum(axis=0) == 0).any():
             raise DomainError("matrix has an empty row or column (no total support)")
-        n = a.shape[0]
+        spec, weights = BallSpec(a.shape[0], a.shape[0] - 1), a.ravel()
         apply_u, apply_v = a.dot, a.T.dot
         if order == "cols-first":
             apply_u, apply_v = apply_v, apply_u
+    cells = BandMatrix(spec).cells()
     # u is the scale normalized first in each iteration, v the other one;
     # apply_u(v) gives the sums that u divides out, apply_v(u) those of v.
-    v = np.ones(n)
+    v = np.ones(spec.n)
     den_u = apply_u(v)
     residual = np.inf
     for iterations in range(1, max_iter + 1):
@@ -306,10 +328,8 @@ def sinkhorn_balance(
         if residual > tol:
             continue
         row, col = (u, v) if order == "rows-first" else (v, u)
-        if a is None:
-            a = m.toarray()
-        balanced = row[:, None] * a * col[None, :]
-        residual = _sum_deviation(balanced)
+        values = row[cells[0]] * weights * col[cells[1]]
+        residual = _sum_deviation(cells, values, spec.n)
         if residual <= tol:
             break
     else:
@@ -318,7 +338,7 @@ def sinkhorn_balance(
             f"(residual {residual:g})",
             residual=residual,
         )
-    sm = StochasticMatrix(n=n, entries=balanced, support_spec=spec, residual=residual)
-    if spec is not None and not sm.support_equals_band():
+    sm = StochasticMatrix(spec, values, residual=residual, cells=cells)
+    if isinstance(m, BandMatrix) and not sm.support_equals_band():
         raise ValidationError("balanced matrix support differs from the band")
     return sm, ScalingVectors(row, col, iterations, residual)

@@ -233,19 +233,21 @@ def render_rate_wide_csv(
 # -- matrices -----------------------------------------------------------
 
 
+def _cell_texts(sm: StochasticMatrix) -> list[str]:
+    """Each band cell's value as exported: exact fractions when built exact."""
+    if sm.is_exact:
+        d = sm.exact_denominator
+        return [str(Fraction(int(x), d)) for x in sm.exact_numerators]
+    return [format_float(x) for x in sm.values]
+
+
 def render_matrix_dense_csv(sm: StochasticMatrix, comments: Sequence[str] = ()) -> str:
     header = tuple(f"c{j}" for j in range(1, sm.n + 1))
-    if sm.is_exact:
-        rows = [
-            tuple(str(sm.entry_exact(i, j)) for j in range(1, sm.n + 1))
-            for i in range(1, sm.n + 1)
-        ]
-    else:
-        rows = [
-            tuple(format_float(sm.entries[i, j]) for j in range(sm.n))
-            for i in range(sm.n)
-        ]
-    return render_csv(header, rows, comments)
+    zero = "0" if sm.is_exact else format_float(0.0)
+    grid = [[zero] * sm.n for _ in range(sm.n)]
+    for i, j, text in zip(*sm.cells, _cell_texts(sm)):
+        grid[i][j] = text
+    return render_csv(header, grid, comments)
 
 
 def parse_matrix_dense_csv(text: str) -> list[list[Fraction]]:
@@ -268,16 +270,12 @@ def parse_matrix_dense_csv(text: str) -> list[list[Fraction]]:
 def render_matrix_triplets_csv(
     sm: StochasticMatrix, comments: Sequence[str] = ()
 ) -> str:
-    rows = []
-    for i in range(1, sm.n + 1):
-        for j in range(1, sm.n + 1):
-            if sm.entries[i - 1, j - 1] > 0:
-                value = (
-                    str(sm.entry_exact(i, j))
-                    if sm.is_exact
-                    else format_float(sm.entries[i - 1, j - 1])
-                )
-                rows.append((str(i), str(j), value))
+    """One (i, j, value) row per positive cell, in row-major order."""
+    rows = [
+        (str(i + 1), str(j + 1), text)
+        for i, j, x, text in zip(*sm.cells, sm.values, _cell_texts(sm))
+        if x > 0
+    ]
     return render_csv(TRIPLET_HEADER, rows, comments)
 
 

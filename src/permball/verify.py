@@ -177,13 +177,15 @@ def check_double_stochasticity(max_n: int = 200) -> CheckResult:
 # -- sinkhorn fixed points ------------------------------------------------
 
 
+def _balanced_deviation(spec: BallSpec, build: Callable) -> float:
+    """Largest entry gap between the balanced band and a construction."""
+    balanced, _ = sinkhorn_balance(BandMatrix(spec), tol=1e-12)
+    return float(np.abs(balanced.values - build(spec).values).max())
+
+
 def _sinkhorn_high() -> str | None:
     for n, r in SINKHORN_HIGH_SPECS:
-        spec = BallSpec(n, r)
-        balanced, _ = sinkhorn_balance(BandMatrix(spec), tol=1e-12)
-        deviation = float(
-            np.abs(balanced.entries - q_second_high(spec).entries).max()
-        )
+        deviation = _balanced_deviation(BallSpec(n, r), q_second_high)
         if deviation > 1e-6:
             return f"balanced matrix deviates {deviation:g} at n={n}, r={r}"
     return None
@@ -192,11 +194,7 @@ def _sinkhorn_high() -> str | None:
 def _sinkhorn_low_boundary() -> str | None:
     worst = None
     for n, r in SINKHORN_LOW_BOUNDARY_SPECS:
-        spec = BallSpec(n, r)
-        balanced, _ = sinkhorn_balance(BandMatrix(spec), tol=1e-12)
-        deviation = float(
-            np.abs(balanced.entries - q_second_low(spec).entries).max()
-        )
+        deviation = _balanced_deviation(BallSpec(n, r), q_second_low)
         if deviation > 1e-6:
             worst = (
                 f"balanced matrix deviates {deviation:g} from the low-range "

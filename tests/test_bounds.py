@@ -26,7 +26,8 @@ from permball.qmat import (
 
 
 def uniform(n):
-    return StochasticMatrix(n=n, entries=np.full((n, n), 1.0 / n))
+    # The dense form: the band of radius n-1 holds every cell.
+    return StochasticMatrix(BallSpec(n, n - 1), np.full(n * n, 1.0 / n))
 
 
 class TestVdwSinkhornBound:
@@ -61,6 +62,9 @@ class TestVdwSinkhornBound:
     def test_support_violation_names_cell(self):
         with pytest.raises(SupportError, match=r"\(1,2\)"):
             vdw_sinkhorn_bound(np.eye(2), uniform(2))
+        # A band narrower than Q's: its first cell outside that band.
+        with pytest.raises(SupportError, match=r"\(1,2\)"):
+            bethe_bound(BandMatrix(BallSpec(3, 0)), q_first_class(BallSpec(3, 1)))
 
     def test_balanced_matrix_maximizes_functional(self):
         for n, r in ((5, 2), (6, 2), (8, 5), (9, 4)):
@@ -110,7 +114,7 @@ class TestGenericFunctionalsOnWeightedMatrices:
         # Q need not be the balanced matrix; any valid doubly-stochastic Q
         # with contained support certifies a lower bound.
         m = np.array([[1.0, 1.0], [0.0, 1.0]])
-        q = StochasticMatrix(n=2, entries=np.eye(2))
+        q = StochasticMatrix(BallSpec(2, 1), np.eye(2).ravel())
         assert vdw_sinkhorn_bound(m, q) <= math.log2(self.permanent(m.tolist()))
 
 

@@ -255,6 +255,19 @@ class TestFigures:
         assert code == 1 and "grid step" in err and "outside" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["0.28", "0.35"])
+    def test_fig2_step_not_dividing_one_caps_delta_at_one(self, capsys, tmp_path, step):
+        out = tmp_path / "fig2.csv"
+        code, _, err = run(
+            capsys, "figures", "fig2", "--grid-step", step, "--out", str(out),
+            "--no-plot",
+        )
+        assert code == 0, err
+        lines = data_section(out.read_text()).splitlines()[1:]
+        deltas = [float(line.split(",")[0]) for line in lines]
+        assert len(deltas) == round(1 / float(step)) - 1
+        assert deltas[-1] == 1.0 and all(0 < d <= 1 for d in deltas)
+
     def test_fig1_no_plot(self, capsys, tmp_path):
         out = tmp_path / "f.csv"
         code, _, _ = run(capsys, "figures", "fig1", "--out", str(out), "--no-plot")

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from permball.core import (
@@ -130,8 +131,12 @@ def test_band_symmetry_and_row_counts(n, r):
         assert r + 1 <= band.row_ones(i) <= 2 * r + 1
         for j in range(1, n + 1):
             assert band.entry(i, j) == band.entry(j, i)
-    mask = band.support_mask()
+    idx = np.arange(n)
+    mask = np.abs(idx[:, None] - idx[None, :]) <= r
+    rows, cols = band.cells()
     assert mask.sum() == sum(band.row_ones(i) for i in range(1, n + 1))
+    # The cells are the mask's nonzero cells, in the same row-major order.
+    assert (rows == np.nonzero(mask)[0]).all() and (cols == np.nonzero(mask)[1]).all()
 
 
 def test_radius_from_rho():

@@ -1,28 +1,35 @@
 """Property tests for the single definitions: the three radius ranges on
-``BallSpec``, the domains that follow them, the figure grid, and the sweep
-JSON against its CSV.
+``BallSpec``, the domains that follow them, the figure grid, the sweep
+JSON against its CSV, and the band-cell matrices against dense references.
 
 Hypothesis runs derandomized and without an example database, so the
 suite stays deterministic and writes no ``.hypothesis/`` directory.
 """
 
 import json
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from permball.asym import GRID_MIN_STEP, step_grid
-from permball.bounds import ALL_FAMILIES, finite_bound
+from permball.bounds import ALL_FAMILIES, bethe_bound, finite_bound, vdw_sinkhorn_bound
 from permball.cli import main
-from permball.core import BallSpec
+from permball.core import BallSpec, BandMatrix
 from permball.errors import DomainError, ValidationError
-from permball.qmat import q_second_high, q_second_low
-from permball.tables import parse_sweep_csv
+from permball.qmat import q_first_class, q_second_high, q_second_low, sinkhorn_balance
+from permball.scalar import log2_factorial
+from permball.tables import (
+    parse_matrix_triplets_csv,
+    parse_sweep_csv,
+    render_matrix_triplets_csv,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -75,6 +82,8 @@ def test_second_class_matrices_raise_exactly_outside_their_ranges(spec):
 def test_every_accepted_grid_step_gives_points(step):
     for first in (1, 2):
         assert step_grid(step, first)
+    # fig2's delta grid: the ecc bound is defined on (0, 1] only.
+    assert all(0 < delta <= 1 for delta in step_grid(step, 2))
 
 
 @pytest.mark.parametrize(
@@ -108,3 +117,36 @@ def test_sweep_json_rows_equal_parsed_csv_rows(n_values, families):
         exact = row["exact_count"]
         row.update(spec=spec, exact_count=None if exact is None else int(exact))
         assert row == expected
+
+
+@PROPERTY_SETTINGS
+@given(specs())
+def test_band_cell_matrices_match_dense_references(spec):
+    n, r = spec.n, spec.r
+    idx = np.arange(n)
+    band = np.abs(idx[:, None] - idx[None, :]) <= r
+    weights = band.astype(float)
+    qs = [q_first_class(spec), sinkhorn_balance(BandMatrix(spec), tol=1e-10)[0]]
+    if spec.second_low_range:
+        qs.append(q_second_low(spec))
+    if spec.second_high_range:
+        qs.append(q_second_high(spec))
+    for q in qs:
+        dense = q.entries
+        assert ((dense > 0) == band).all()
+        assert np.abs(dense.sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(dense.sum(axis=0) - 1.0).max() <= 1e-9
+        # The dense functionals as they were written before the cell form.
+        mask = dense > 0
+        qv = dense[mask]
+        h = -qv * np.log2(qv / weights[mask])
+        vdw = log2_factorial(n) - n * math.log2(n) + float(np.sum(h))
+        one_minus = 1.0 - qv
+        extra = np.zeros_like(qv)
+        positive = one_minus > 0
+        extra[positive] = one_minus[positive] * np.log2(one_minus[positive])
+        assert abs(vdw_sinkhorn_bound(BandMatrix(spec), q) - vdw) <= 1e-12
+        assert abs(bethe_bound(BandMatrix(spec), q) - float(np.sum(h + extra))) <= 1e-12
+        triplets = parse_matrix_triplets_csv(render_matrix_triplets_csv(q))
+        assert [(i - 1, j - 1) for i, j, _ in triplets] == list(zip(*np.nonzero(dense)))
+        assert [float(Fraction(value)) for _, _, value in triplets] == list(qv)

@@ -1,6 +1,7 @@
 """Doubly-stochastic constructions and Sinkhorn balancing."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -177,43 +178,51 @@ class TestSinkhorn:
         # The implicit band (window sums) against its dense array (matvecs).
         tol = 1e-10
         band = BandMatrix(BallSpec(n, r))
+        idx = np.arange(n)
+        mask = (np.abs(idx[:, None] - idx[None, :]) <= r).astype(float)
         implicit, implicit_scales = sinkhorn_balance(band, tol=tol, order=order)
-        dense, dense_scales = sinkhorn_balance(band.toarray(), tol=tol, order=order)
+        dense, dense_scales = sinkhorn_balance(mask, tol=tol, order=order)
         assert implicit_scales.iterations == dense_scales.iterations
         assert np.abs(implicit.entries - dense.entries).max() <= 1e-12
         assert implicit.residual <= tol and dense.residual <= tol
         assert implicit_scales.residual == implicit.residual
 
-    def test_band_densified_once_and_recheck_above_tol_keeps_iterating(
+    def test_cells_built_once_per_recheck_and_failed_recheck_keeps_iterating(
         self, monkeypatch
     ):
         from permball import qmat
 
         band = BandMatrix(BallSpec(12, 3))
         _, plain = sinkhorn_balance(band, tol=1e-10)
-        real_deviation, real_toarray = qmat._sum_deviation, BandMatrix.toarray
-        rechecks, densified = [], []
+        real_deviation, real_cells = qmat._sum_deviation, BandMatrix.cells
+        rechecked, cell_lists = [], []
 
-        def first_recheck_fails(entries):
-            rechecks.append(entries.shape)
-            return np.inf if len(rechecks) == 1 else real_deviation(entries)
+        def first_recheck_fails(cells, values, n):
+            rechecked.append(values)
+            return np.inf if len(rechecked) == 1 else real_deviation(cells, values, n)
 
-        def counted_toarray(self):
-            densified.append(self.spec)
-            return real_toarray(self)
+        def counted_cells(self):
+            cell_lists.append(self.spec)
+            return real_cells(self)
 
         monkeypatch.setattr(qmat, "_sum_deviation", first_recheck_fails)
-        monkeypatch.setattr(BandMatrix, "toarray", counted_toarray)
+        monkeypatch.setattr(BandMatrix, "cells", counted_cells)
         balanced, scales = sinkhorn_balance(band, tol=1e-10)
         assert scales.iterations == plain.iterations + 1
-        assert rechecks == [(12, 12), (12, 12)]
-        assert densified == [band.spec]
+        # One cell-value array per re-check, each over the 12*7 - 3*4 band
+        # cells, and the last one is the result; no n x n array is built.
+        band_cells = 12 * 7 - 3 * 4
+        assert [values.shape for values in rechecked] == [(band_cells,)] * 2
+        assert rechecked[0] is not rechecked[1] and balanced.values is rechecked[1]
+        assert cell_lists == [band.spec]
         assert balanced.residual <= 1e-10
 
     def test_scaling_vectors_reconstruct_matrix(self):
         band = BandMatrix(BallSpec(7, 4))
         balanced, scales = sinkhorn_balance(band, tol=1e-11)
-        rebuilt = scales.row_scale[:, None] * band.toarray() * scales.col_scale[None, :]
+        idx = np.arange(7)
+        mask = np.abs(idx[:, None] - idx[None, :]) <= 4
+        rebuilt = scales.row_scale[:, None] * mask * scales.col_scale[None, :]
         assert np.abs(rebuilt - balanced.entries).max() <= 1e-12
         assert scales.residual <= 1e-11
 
@@ -242,3 +251,40 @@ class TestOptimalityOrdering:
         high = vdw_sinkhorn_bound(band, q_second_high(spec))
         first = vdw_sinkhorn_bound(band, q_first_class(spec))
         assert high >= first - 1e-9
+
+
+class TestBandNativeMemory:
+    """A band input builds no n x n array: at n = 2000 every traced peak
+    stays below the size of one dense float array (30.5 MB)."""
+
+    DENSE_BYTES = 2000 * 2000 * 8
+
+    @staticmethod
+    def traced(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_constructions_balancing_functionals_and_export(self):
+        from permball.bounds import bethe_bound, vdw_sinkhorn_bound
+        from permball.tables import render_matrix_triplets_csv
+
+        spec = BallSpec(2000, 40)
+        band = BandMatrix(spec)
+        peaks = {}
+        _, peaks["q_first_class"] = self.traced(q_first_class, spec)
+        _, peaks["q_second_low"] = self.traced(q_second_low, spec)
+        (balanced, _), peaks["sinkhorn_balance"] = self.traced(
+            sinkhorn_balance, band, tol=1e-10
+        )
+        _, peaks["vdw_sinkhorn_bound"] = self.traced(vdw_sinkhorn_bound, band, balanced)
+        _, peaks["bethe_bound"] = self.traced(bethe_bound, band, balanced)
+        text, peaks["triplets"] = self.traced(
+            lambda: render_matrix_triplets_csv(q_first_class(BallSpec(2000, 2)))
+        )
+        # The header plus the n(2r+1) - r(r+1) band cells at r = 2.
+        assert text.count("\n") == 1 + 2000 * 5 - 2 * 3
+        assert all(peak < self.DENSE_BYTES for peak in peaks.values()), peaks
