@@ -126,12 +126,7 @@ def cmd_exact(args) -> int:
     else:
         spec = BallSpec(args.n, args.r)
     cache = _resolve_cache(args)
-    result = ball_size_exact_detailed(
-        spec,
-        verify=args.verify,
-        cache=cache,
-        override_capacity=args.override_capacity,
-    )
+    result = ball_size_exact_detailed(spec, verify=args.verify, cache=cache)
     print(result.value)
     print(f"backend: {result.backend}", file=sys.stderr)
     return EXIT_OK
@@ -140,7 +135,7 @@ def cmd_exact(args) -> int:
 # -- sweep --------------------------------------------------------------
 
 
-def _sweep_cell(families, cache_dir, override, backends, n: int, r: int) -> list:
+def _sweep_cell(families, cache_dir, backends, n: int, r: int) -> list:
     """The (BoundValue, exact count or None) pair of each family at (n, r),
     sorted by family.  ``cmd_sweep`` binds the leading settings once."""
     spec = BallSpec(n, r)
@@ -148,7 +143,7 @@ def _sweep_cell(families, cache_dir, override, backends, n: int, r: int) -> list
     exact_count = None
     try:
         exact_count = ball_size_exact_detailed(
-            spec, cache=cache, override_capacity=override, backends=backends
+            spec, cache=cache, backends=backends
         ).value
     except CapacityError:
         pass
@@ -179,6 +174,8 @@ def _sweep_cell(families, cache_dir, override, backends, n: int, r: int) -> list
 def cmd_sweep(args) -> int:
     if args.r is not None and args.rho is not None:
         raise ValidationError("give at most one of --r and --rho")
+    if args.jobs is not None and args.jobs < 0:
+        raise ValidationError(f"--jobs must be >= 0, got {args.jobs}")
     n_values = _parse_int_list(args.n)
     if args.families == "all":
         families = list(CLOSED_FAMILIES)
@@ -195,12 +192,11 @@ def cmd_sweep(args) -> int:
     cache = _resolve_cache(args)
     cells = sorted({(spec.n, spec.r) for n in n_values for spec in _specs_for(n, args)})
     ns, rs = zip(*cells)
-    cell = partial(
-        _sweep_cell, tuple(families), str(cache.directory), args.override_capacity,
-        backends,
-    )
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(cells) > 1:
+    cell = partial(_sweep_cell, tuple(families), str(cache.directory), backends)
+    # The pool forks all its workers at the first submit, so it gets no
+    # more of them than there are cells.
+    jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(cell, ns, rs))
     else:
@@ -392,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=str)
     p.add_argument("--verify", action="store_true",
                    help="run all applicable backends and insist they agree")
-    p.add_argument("--override-capacity", action="store_true")
     p.add_argument("--cache-dir", type=Path)
     p.set_defaults(func=cmd_exact)
 
@@ -407,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cache-dir", type=Path)
     p.add_argument("--jobs", type=int)
-    p.add_argument("--override-capacity", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figures", help="CSV data (and PNG) behind the report figures")

@@ -22,8 +22,9 @@ from .errors import CapacityError, DimensionError, VerificationError
 if TYPE_CHECKING:
     from .cache import ResultCache
 
-# Documented capacity limits; every backend accepts override_capacity=True
-# for expert use (runtimes grow factorially / exponentially past these).
+# Documented capacity limits.  The dispatcher always applies them; each
+# backend function accepts override_capacity=True for direct expert calls
+# (runtimes grow factorially / exponentially past these).
 ENUMERATE_MAX_N = 10
 RYSER_MAX_N = 30
 DP_MAX_WINDOW = 26
@@ -201,21 +202,18 @@ def applicable_backends(spec: BallSpec) -> list[str]:
     return out
 
 
-def _run_backend(spec: BallSpec, backend: str, *, override_capacity: bool) -> int:
+def _run_backend(spec: BallSpec, backend: str) -> int:
     if backend == BACKEND_CLOSED:
         value = _closed_form(spec)
         if value is None:
             raise CapacityError("closed form only at r=0 and r=n-1")
         return value
     if backend == BACKEND_DP:
-        return ball_size_band_dp(spec, override_capacity=override_capacity)
+        return ball_size_band_dp(spec)
     if backend == BACKEND_RYSER:
-        return permanent_ryser(
-            [row for row in BandMatrix(spec).rows()],
-            override_capacity=override_capacity,
-        )
+        return permanent_ryser([row for row in BandMatrix(spec).rows()])
     if backend == BACKEND_ENUMERATE:
-        return ball_size_enumerate(spec, override_capacity=override_capacity)
+        return ball_size_enumerate(spec)
     raise DimensionError(f"unknown backend {backend!r}")
 
 
@@ -224,7 +222,6 @@ def ball_size_exact_detailed(
     *,
     verify: bool = False,
     cache: "ResultCache | None" = None,
-    override_capacity: bool = False,
     backends: Sequence[str] | None = None,
 ) -> ExactResult:
     """Exact |B_{r,n}| with the backend that produced it.
@@ -243,13 +240,7 @@ def ball_size_exact_detailed(
     candidates = applicable_backends(spec)
     if backends is not None:
         candidates = [b for b in candidates if b in backends]
-    return _dispatch(
-        spec,
-        candidates,
-        verify=verify,
-        cache=cache,
-        override_capacity=override_capacity,
-    )
+    return _dispatch(spec, candidates, verify=verify, cache=cache)
 
 
 def _dispatch(
@@ -258,7 +249,6 @@ def _dispatch(
     *,
     verify: bool,
     cache: "ResultCache | None",
-    override_capacity: bool,
 ) -> ExactResult:
     record = cache.get(spec) if cache is not None else None
     if not verify:
@@ -270,20 +260,15 @@ def _dispatch(
                 f"(2r+1={2 * spec.r + 1} > {DP_MAX_WINDOW} and n > {RYSER_MAX_N})"
             )
         backend = backends[0]
-        value = _run_backend(spec, backend, override_capacity=override_capacity)
+        value = _run_backend(spec, backend)
         if cache is not None:
             cache.put(spec, value, backend)
         return ExactResult(value, backend)
     if not backends:
         raise CapacityError(f"no exact backend can handle n={spec.n}, r={spec.r}")
-    results = {
-        b: _run_backend(spec, b, override_capacity=override_capacity)
-        for b in backends
-    }
+    results = {b: _run_backend(spec, b) for b in backends}
     if BACKEND_DP in results:
-        results["band-dp/vacant"] = ball_size_band_dp(
-            spec, vacant_encoding=True, override_capacity=override_capacity
-        )
+        results["band-dp/vacant"] = ball_size_band_dp(spec, vacant_encoding=True)
     if record is not None:
         results["cache"] = int(record.exact_count)
     distinct = set(results.values())
@@ -302,9 +287,6 @@ def ball_size_exact(
     *,
     verify: bool = False,
     cache: "ResultCache | None" = None,
-    override_capacity: bool = False,
 ) -> int:
-    return ball_size_exact_detailed(
-        spec, verify=verify, cache=cache, override_capacity=override_capacity
-    ).value
+    return ball_size_exact_detailed(spec, verify=verify, cache=cache).value
 

@@ -280,8 +280,6 @@ def sinkhorn_balance(
     m: np.ndarray | BandMatrix,
     tol: float = STOCHASTIC_TOL,
     max_iter: int = SINKHORN_MAX_ITER,
-    *,
-    order: str = "rows-first",
 ) -> tuple[StochasticMatrix, ScalingVectors]:
     """Alternately normalize rows and columns until both sum to 1 +- tol.
 
@@ -294,8 +292,6 @@ def sinkhorn_balance(
     their row and column sums give the returned residual.  Raises
     ConvergenceError carrying the residual if max_iter is exhausted.
     """
-    if order not in ("rows-first", "cols-first"):
-        raise ValidationError(f"unknown iteration order {order!r}")
     if isinstance(m, BandMatrix):
         spec, weights = m.spec, 1.0
         apply_u = apply_v = _window_sums(m.spec)  # the band is symmetric
@@ -309,11 +305,10 @@ def sinkhorn_balance(
             raise DomainError("matrix has an empty row or column (no total support)")
         spec, weights = BallSpec(a.shape[0], a.shape[0] - 1), a.ravel()
         apply_u, apply_v = a.dot, a.T.dot
-        if order == "cols-first":
-            apply_u, apply_v = apply_v, apply_u
     cells = BandMatrix(spec).cells()
-    # u is the scale normalized first in each iteration, v the other one;
-    # apply_u(v) gives the sums that u divides out, apply_v(u) those of v.
+    # u scales the rows and is normalized first in each iteration, v the
+    # columns; apply_u(v) gives the sums that u divides out, apply_v(u)
+    # those of v.
     v = np.ones(spec.n)
     den_u = apply_u(v)
     residual = np.inf
@@ -321,14 +316,13 @@ def sinkhorn_balance(
         u = 1.0 / den_u
         den_v = apply_v(u)
         v = 1.0 / den_v
-        # The sums of u's side are u * den_u, with den_u the next
-        # iteration's denominator; v's sums v * den_v are 1 by construction.
+        # The row sums are u * den_u, with den_u the next iteration's
+        # denominator; the column sums v * den_v are 1 by construction.
         den_u = apply_u(v)
         residual = float(np.abs(u * den_u - 1.0).max())
         if residual > tol:
             continue
-        row, col = (u, v) if order == "rows-first" else (v, u)
-        values = row[cells[0]] * weights * col[cells[1]]
+        values = u[cells[0]] * weights * v[cells[1]]
         residual = _sum_deviation(cells, values, spec.n)
         if residual <= tol:
             break
@@ -341,4 +335,4 @@ def sinkhorn_balance(
     sm = StochasticMatrix(spec, values, residual=residual, cells=cells)
     if isinstance(m, BandMatrix) and not sm.support_equals_band():
         raise ValidationError("balanced matrix support differs from the band")
-    return sm, ScalingVectors(row, col, iterations, residual)
+    return sm, ScalingVectors(u, v, iterations, residual)

@@ -164,7 +164,7 @@ class TestSweep:
         families = ("bethe_generic", "phi3", "vdw_generic")
         reasons = {}
         for n, r in ((6, 2), (501, 1)):
-            cell = cli._sweep_cell(families, None, False, None, n, r)
+            cell = cli._sweep_cell(families, None, None, n, r)
             by_family = {bv.family: bv for bv, _ in cell}
             assert by_family["phi3"].valid
             for family in ("bethe_generic", "vdw_generic"):
@@ -219,6 +219,47 @@ class TestSweep:
             "--out", str(parallel), "--cache-dir", str(tmp_path / "c2"), "--jobs", "3",
         )
         assert data_section(serial.read_text()) == data_section(parallel.read_text())
+
+    def test_pool_never_outnumbers_cells(self, capsys, tmp_path, monkeypatch):
+        from permball import cli
+
+        pools = []
+
+        class RecordingPool:
+            # Stands in for ProcessPoolExecutor and starts no process.
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # (n, r, jobs): 4 cells with 6 and 3 jobs, then 8 cells and 1 cell,
+        # which both run without a pool.
+        for n, r, jobs in (("4", "0..3", "6"), ("4", "0..3", "3"),
+                           ("4..5", "0..3", "1"), ("4", "1", "3")):
+            code, _, _ = run(
+                capsys, "sweep", "--n", n, "--r", r, "--families", "phi1",
+                "--cache-dir", str(tmp_path / "c"), "--jobs", jobs,
+            )
+            assert code == 0
+        assert pools == [4, 3]
+
+    def test_negative_jobs_exits_one(self, capsys, tmp_path, monkeypatch):
+        from permball import cli
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        code, _, err = run(
+            capsys, "sweep", "--n", "4", "--families", "phi1",
+            "--cache-dir", str(tmp_path / "c"), "--jobs", "-2",
+        )
+        assert code == 1 and "--jobs" in err
 
 
 class TestFigures:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from permball.core import BallSpec, BandMatrix
-from permball.errors import ConvergenceError, DomainError, ValidationError
+from permball.errors import ConvergenceError, DomainError
 from permball.qmat import (
     q_first_class,
     q_second_high,
@@ -125,6 +125,13 @@ class TestSecondHigh:
             q_second_high(BallSpec(7, 6))
 
 
+BALANCE_CELLS = [
+    (8, 1), (60, 2), (200, 4),  # low rho
+    (9, 6), (40, 31), (200, 190),  # high rho
+    (10, 4), (100, 49), (200, 99),  # even-n boundary, r = (n-2)/2
+]
+
+
 class TestSinkhorn:
     def test_all_ones_balances_immediately(self):
         balanced, scales = sinkhorn_balance(np.ones((3, 3)))
@@ -159,29 +166,22 @@ class TestSinkhorn:
 
             assert entropy(balanced.entries) > entropy(q_second_low(spec).entries)
 
-    def test_order_invariance(self):
-        band = BandMatrix(BallSpec(9, 4))
-        a, _ = sinkhorn_balance(band, tol=1e-11, order="rows-first")
-        b, _ = sinkhorn_balance(band, tol=1e-11, order="cols-first")
-        assert np.abs(a.entries - b.entries).max() <= 1e-9
+    @pytest.mark.parametrize("n,r", BALANCE_CELLS)
+    def test_balanced_band_is_symmetric(self, n, r):
+        # The band is symmetric and its balanced limit is unique, so the
+        # result may not depend on normalizing rows before columns.
+        balanced, _ = sinkhorn_balance(BandMatrix(BallSpec(n, r)), tol=1e-10)
+        assert balanced.is_symmetric(tol=1e-9)
 
-    @pytest.mark.parametrize("order", ["rows-first", "cols-first"])
-    @pytest.mark.parametrize(
-        "n,r",
-        [
-            (8, 1), (60, 2), (200, 4),  # low rho
-            (9, 6), (40, 31), (200, 190),  # high rho
-            (10, 4), (100, 49), (200, 99),  # even-n boundary, r = (n-2)/2
-        ],
-    )
-    def test_band_input_matches_dense_reference(self, n, r, order):
+    @pytest.mark.parametrize("n,r", BALANCE_CELLS)
+    def test_band_input_matches_dense_reference(self, n, r):
         # The implicit band (window sums) against its dense array (matvecs).
         tol = 1e-10
         band = BandMatrix(BallSpec(n, r))
         idx = np.arange(n)
         mask = (np.abs(idx[:, None] - idx[None, :]) <= r).astype(float)
-        implicit, implicit_scales = sinkhorn_balance(band, tol=tol, order=order)
-        dense, dense_scales = sinkhorn_balance(mask, tol=tol, order=order)
+        implicit, implicit_scales = sinkhorn_balance(band, tol=tol)
+        dense, dense_scales = sinkhorn_balance(mask, tol=tol)
         assert implicit_scales.iterations == dense_scales.iterations
         assert np.abs(implicit.entries - dense.entries).max() <= 1e-12
         assert implicit.residual <= tol and dense.residual <= tol
@@ -235,8 +235,6 @@ class TestSinkhorn:
     def test_rejects_empty_row(self):
         with pytest.raises(DomainError):
             sinkhorn_balance(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ValidationError):
-            sinkhorn_balance(np.ones((2, 2)), order="diagonal-first")
 
 
 class TestOptimalityOrdering:

@@ -205,7 +205,8 @@ class TestOmega:
             assert omega_r(r) == direct
 
     def test_log_form_agreement(self):
-        for r in (5, 50, 500):
+        # The log-domain sum against the exact integer.
+        for r in (0, 1, 2, 5, 50, 60, 500, 1000):
             assert log2_omega_r(r) == pytest.approx(math.log2(omega_r(r)), rel=1e-12)
 
     def test_capacity(self):
