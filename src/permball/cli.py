@@ -135,16 +135,14 @@ def cmd_exact(args) -> int:
 # -- sweep --------------------------------------------------------------
 
 
-def _sweep_cell(families, cache_dir, backends, n: int, r: int) -> list:
+def _sweep_cell(families, cache_dir, n: int, r: int) -> list:
     """The (BoundValue, exact count or None) pair of each family at (n, r),
     sorted by family.  ``cmd_sweep`` binds the leading settings once."""
     spec = BallSpec(n, r)
     cache = ResultCache(cache_dir) if cache_dir else None
     exact_count = None
     try:
-        exact_count = ball_size_exact_detailed(
-            spec, cache=cache, backends=backends
-        ).value
+        exact_count = ball_size_exact_detailed(spec, cache=cache).value
     except CapacityError:
         pass
     band = BandMatrix(spec)
@@ -186,13 +184,10 @@ def cmd_sweep(args) -> int:
             raise ValidationError(
                 f"unknown families {unknown}; choose from {list(ALL_FAMILIES)}"
             )
-    backends = None
-    if args.backends and args.backends != "auto":
-        backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
     cache = _resolve_cache(args)
     cells = sorted({(spec.n, spec.r) for n in n_values for spec in _specs_for(n, args)})
     ns, rs = zip(*cells)
-    cell = partial(_sweep_cell, tuple(families), str(cache.directory), backends)
+    cell = partial(_sweep_cell, tuple(families), str(cache.directory))
     # The pool forks all its workers at the first submit, so it gets no
     # more of them than there are cells.
     jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
@@ -396,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=str, help='"all" (default), a list, or a range')
     p.add_argument("--rho", type=str, help="comma-separated exact rationals")
     p.add_argument("--families", type=str, default="all")
-    p.add_argument("--backends", type=str, default="auto",
-                   help='"auto" or a comma list of exact-count backends')
     p.add_argument("--out", type=str, default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cache-dir", type=Path)

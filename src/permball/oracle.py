@@ -1,9 +1,9 @@
 """Exact ball sizes |B_{r,n}| by mutually checking counting backends.
 
-Four routes to the same integer: brute-force enumeration of S_n, Ryser's
-inclusion-exclusion permanent on the dense band matrix, a column-sweep
-transfer DP over the band window, and closed forms at the r = 0 and
-r = n-1 boundaries.  ``ball_size_exact`` dispatches to the cheapest
+Four routes to the same integer: closed forms at the r = 0 and r = n-1
+boundaries, a column-sweep transfer DP over the band window, Ryser's
+inclusion-exclusion permanent on the dense band matrix, and brute-force
+enumeration of S_n.  ``ball_size_exact`` dispatches to the cheapest
 applicable one, or runs all of them and insists they agree.
 """
 
@@ -23,11 +23,12 @@ if TYPE_CHECKING:
     from .cache import ResultCache
 
 # Documented capacity limits.  The dispatcher always applies them; each
-# backend function accepts override_capacity=True for direct expert calls
-# (runtimes grow factorially / exponentially past these).
+# backend function accepts override_capacity=True for direct expert calls.
+# One work unit is one inner-loop step: Ryser does 2^n * n of them, the
+# band DP at most n * C(2r, r) * (2r+1).  Both took 1-2e-7 s per unit on
+# a 2-vCPU Xeon host, so the budget is a few seconds per count.
 ENUMERATE_MAX_N = 10
-RYSER_MAX_N = 30
-DP_MAX_WINDOW = 26
+EXACT_MAX_WORK = 2 * 10**7
 
 BACKEND_CLOSED = "closed-form"
 BACKEND_DP = "band-dp"
@@ -78,8 +79,10 @@ def permanent_ryser(
         raise DimensionError("permanent requires a square matrix")
     if any(x < 0 for row in rows for x in row):
         raise DimensionError("permanent backend requires non-negative entries")
-    if n > RYSER_MAX_N and not override_capacity:
-        raise CapacityError(f"Ryser capped at n={RYSER_MAX_N} (2^n work)")
+    if _ryser_work(n) > EXACT_MAX_WORK and not override_capacity:
+        raise CapacityError(
+            f"Ryser at n={n} exceeds the work budget of {EXACT_MAX_WORK} units"
+        )
     if n == 0:
         return 1
     cols = [[rows[i][j] for i in range(n)] for j in range(n)]
@@ -111,110 +114,75 @@ def permanent_ryser(
     return total
 
 
-def ball_size_band_dp(
-    spec: BallSpec, *, vacant_encoding: bool = False, override_capacity: bool = False
-) -> int:
+def ball_size_band_dp(spec: BallSpec, *, override_capacity: bool = False) -> int:
     """Permanent of the band matrix by a column sweep over the 2r+1 window.
 
-    The state is the set of window rows already matched (or, with
-    vacant_encoding, the set still free; an arithmetically distinct
-    formulation used as a self-check).  Rows outside 1..n are virtual and
-    treated as pre-matched.  Row j-r must be matched before the window
-    slides past it, which is what makes the state finite.
+    The state is the set of window rows already matched.  Rows outside
+    1..n are virtual and treated as pre-matched.  Row j-r must be matched
+    before the window slides past it, which is what makes the state finite.
     """
     n, r = spec.n, spec.r
-    width = 2 * r + 1
-    if width > DP_MAX_WINDOW and not override_capacity:
+    if _dp_work(spec) > EXACT_MAX_WORK and not override_capacity:
         raise CapacityError(
-            f"band DP window 2r+1={width} exceeds {DP_MAX_WINDOW}; "
-            "use Ryser for small n"
+            f"band DP at n={n}, r={r} exceeds the work budget of "
+            f"{EXACT_MAX_WORK} units; use Ryser for small n"
         )
+    width = 2 * r + 1
     top_bit = 1 << (width - 1)
-    if not vacant_encoding:
-        # Bit k of a state = row (j - r + k) is matched.
-        states = {(1 << r) - 1: 1}
-        for j in range(1, n + 1):
-            nxt: dict[int, int] = {}
-            lo = max(1, j - r)
-            hi = min(n, j + r)
-            base = j - r
-            enter_virtual = j + 1 + r > n
-            for mask, ways in states.items():
-                for row in range(lo, hi + 1):
-                    bit = 1 << (row - base)
-                    if mask & bit:
-                        continue
-                    m2 = mask | bit
-                    if not m2 & 1:
-                        continue
-                    m2 >>= 1
-                    if enter_virtual:
-                        m2 |= top_bit
-                    nxt[m2] = nxt.get(m2, 0) + ways
-            states = nxt
-        return states.get((1 << width) - 1, 0)
-    # Bit k of a state = row (j - r + k) is still free.
-    init = 0
-    for row in range(1, min(n, 1 + r) + 1):
-        init |= 1 << (row - (1 - r))
-    states = {init: 1}
+    # Bit k of a state = row (j - r + k) is matched.
+    states = {(1 << r) - 1: 1}
     for j in range(1, n + 1):
-        nxt = {}
+        nxt: dict[int, int] = {}
         lo = max(1, j - r)
         hi = min(n, j + r)
         base = j - r
-        enter_real = j + 1 + r <= n
+        enter_virtual = j + 1 + r > n
         for mask, ways in states.items():
             for row in range(lo, hi + 1):
                 bit = 1 << (row - base)
-                if not mask & bit:
+                if mask & bit:
                     continue
-                m2 = mask & ~bit
-                if m2 & 1:
+                m2 = mask | bit
+                if not m2 & 1:
                     continue
                 m2 >>= 1
-                if enter_real:
+                if enter_virtual:
                     m2 |= top_bit
                 nxt[m2] = nxt.get(m2, 0) + ways
         states = nxt
-    return states.get(0, 0)
+    return states.get((1 << width) - 1, 0)
 
 
-def _closed_form(spec: BallSpec) -> int | None:
-    if spec.r == 0:
-        return 1
-    if spec.r == spec.n - 1:
-        return math.factorial(spec.n)
-    return None
+def _ryser_work(n: int) -> int:
+    return n << n
+
+
+def _dp_work(spec: BallSpec) -> int:
+    # C(2r, r) >= 2^r, so a radius past the budget's bit length is over it
+    # anyway; clamping it keeps the binomial small at large r.
+    r = min(spec.r, EXACT_MAX_WORK.bit_length())
+    return spec.n * math.comb(2 * r, r) * (2 * r + 1)
+
+
+def _closed_form(spec: BallSpec) -> int:
+    return 1 if spec.r == 0 else math.factorial(spec.n)
+
+
+# name -> (admits the spec within its capacity, counts it), cheapest first.
+_BACKENDS = {
+    BACKEND_CLOSED: (lambda spec: spec.r in (0, spec.n - 1), _closed_form),
+    BACKEND_DP: (lambda spec: _dp_work(spec) <= EXACT_MAX_WORK, ball_size_band_dp),
+    BACKEND_RYSER: (
+        lambda spec: _ryser_work(spec.n) <= EXACT_MAX_WORK,
+        lambda spec: permanent_ryser(list(BandMatrix(spec).rows())),
+    ),
+    BACKEND_ENUMERATE: (lambda spec: spec.n <= ENUMERATE_MAX_N, ball_size_enumerate),
+}
 
 
 def applicable_backends(spec: BallSpec) -> list[str]:
     """Backends whose capacity limits admit this spec, cheapest first."""
-    out = []
-    if _closed_form(spec) is not None:
-        out.append(BACKEND_CLOSED)
-    if 2 * spec.r + 1 <= DP_MAX_WINDOW:
-        out.append(BACKEND_DP)
-    if spec.n <= RYSER_MAX_N:
-        out.append(BACKEND_RYSER)
-    if spec.n <= ENUMERATE_MAX_N:
-        out.append(BACKEND_ENUMERATE)
-    return out
-
-
-def _run_backend(spec: BallSpec, backend: str) -> int:
-    if backend == BACKEND_CLOSED:
-        value = _closed_form(spec)
-        if value is None:
-            raise CapacityError("closed form only at r=0 and r=n-1")
-        return value
-    if backend == BACKEND_DP:
-        return ball_size_band_dp(spec)
-    if backend == BACKEND_RYSER:
-        return permanent_ryser([row for row in BandMatrix(spec).rows()])
-    if backend == BACKEND_ENUMERATE:
-        return ball_size_enumerate(spec)
-    raise DimensionError(f"unknown backend {backend!r}")
+    return [name for name, (admits, _) in _BACKENDS.items() if admits(spec)]
 
 
 def ball_size_exact_detailed(
@@ -226,49 +194,30 @@ def ball_size_exact_detailed(
 ) -> ExactResult:
     """Exact |B_{r,n}| with the backend that produced it.
 
-    Normal mode dispatches to the cheapest applicable backend (or returns
-    the cached count).  Verification mode runs every applicable backend,
-    both DP window encodings, and the cache record, and raises
-    VerificationError on any disagreement.  ``backends`` restricts the
-    candidates (sweep configs use it to pin the computation route).
+    Normal mode returns the cached count, or runs the cheapest applicable
+    backend.  Verification mode runs every applicable backend and the
+    cache record, and raises VerificationError on any disagreement.
+    ``backends`` restricts the candidates (``()`` reads only the cache).
     """
-    known = (BACKEND_CLOSED, BACKEND_DP, BACKEND_RYSER, BACKEND_ENUMERATE)
     if backends is not None:
-        unknown = [b for b in backends if b not in known]
+        unknown = [b for b in backends if b not in _BACKENDS]
         if unknown:
-            raise DimensionError(f"unknown backends {unknown}; expected {known}")
-    candidates = applicable_backends(spec)
-    if backends is not None:
-        candidates = [b for b in candidates if b in backends]
-    return _dispatch(spec, candidates, verify=verify, cache=cache)
-
-
-def _dispatch(
-    spec: BallSpec,
-    backends: list[str],
-    *,
-    verify: bool,
-    cache: "ResultCache | None",
-) -> ExactResult:
-    record = cache.get(spec) if cache is not None else None
-    if not verify:
-        if record is not None:
-            return ExactResult(int(record.exact_count), "cache")
-        if not backends:
-            raise CapacityError(
-                f"no exact backend can handle n={spec.n}, r={spec.r} "
-                f"(2r+1={2 * spec.r + 1} > {DP_MAX_WINDOW} and n > {RYSER_MAX_N})"
+            raise DimensionError(
+                f"unknown backends {unknown}; expected {list(_BACKENDS)}"
             )
-        backend = backends[0]
-        value = _run_backend(spec, backend)
-        if cache is not None:
-            cache.put(spec, value, backend)
-        return ExactResult(value, backend)
-    if not backends:
-        raise CapacityError(f"no exact backend can handle n={spec.n}, r={spec.r}")
-    results = {b: _run_backend(spec, b) for b in backends}
-    if BACKEND_DP in results:
-        results["band-dp/vacant"] = ball_size_band_dp(spec, vacant_encoding=True)
+    record = cache.get(spec) if cache is not None else None
+    if record is not None and not verify:
+        return ExactResult(int(record.exact_count), "cache")
+    candidates = [
+        b for b in applicable_backends(spec) if backends is None or b in backends
+    ]
+    if not candidates:
+        raise CapacityError(
+            f"no exact backend can handle n={spec.n}, r={spec.r} "
+            f"within the work budget of {EXACT_MAX_WORK} units"
+        )
+    run = candidates if verify else candidates[:1]
+    results = {b: _BACKENDS[b][1](spec) for b in run}
     if record is not None:
         results["cache"] = int(record.exact_count)
     distinct = set(results.values())
@@ -278,7 +227,7 @@ def _dispatch(
         )
     value = distinct.pop()
     if cache is not None and record is None:
-        cache.put(spec, value, backends[0])
+        cache.put(spec, value, candidates[0])
     return ExactResult(value, "+".join(sorted(results)))
 
 
@@ -289,4 +238,3 @@ def ball_size_exact(
     cache: "ResultCache | None" = None,
 ) -> int:
     return ball_size_exact_detailed(spec, verify=verify, cache=cache).value
-

@@ -164,7 +164,7 @@ class TestSweep:
         families = ("bethe_generic", "phi3", "vdw_generic")
         reasons = {}
         for n, r in ((6, 2), (501, 1)):
-            cell = cli._sweep_cell(families, None, None, n, r)
+            cell = cli._sweep_cell(families, None, n, r)
             by_family = {bv.family: bv for bv, _ in cell}
             assert by_family["phi3"].valid
             for family in ("bethe_generic", "vdw_generic"):
@@ -187,15 +187,12 @@ class TestSweep:
         assert payload["rows"][0]["exact_count"] == "14"
         assert payload["rows"][0]["family"] == "phi1"
 
-    def test_backend_restriction(self, capsys, tmp_path):
-        out = tmp_path / "b.csv"
+    def test_backends_flag_is_unknown(self, capsys, tmp_path):
         code, _, _ = run(
-            capsys, "sweep", "--n", "5", "--r", "2", "--families", "phi1",
-            "--backends", "enumerate", "--out", str(out),
+            capsys, "sweep", "--n", "5", "--r", "2", "--backends", "enumerate",
             "--cache-dir", str(tmp_path / "c"), "--jobs", "1",
         )
-        assert code == 0
-        assert parse_sweep_csv(out.read_text())[0]["exact_count"] == 31
+        assert code == 1
 
     def test_exit_three_when_no_row_succeeds(self, capsys, tmp_path):
         # phi3 has no branch at odd n with 2r = n-1, and no exact backend

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 
@@ -89,12 +90,17 @@ class TestBandDP:
                 fibonacci(n + 1) if n > 1 else 1
             )
 
-    def test_two_encodings_agree_at_scale(self):
-        for n, r in ((100, 1), (64, 3), (200, 2)):
-            spec = BallSpec(n, r)
-            assert ball_size_band_dp(spec) == ball_size_band_dp(
-                spec, vacant_encoding=True
-            )
+    def test_r2_follows_its_linear_recurrence(self):
+        # a(n) = 2a(n-1) + 2a(n-3) - a(n-5) for r = 2 (OEIS A002524; Kløve,
+        # Univ. Bergen report 376, 2008): an independent reference at large n.
+        a = [None] + [
+            ball_size_band_dp(BallSpec(n, min(2, n - 1))) for n in range(1, 201)
+        ]
+        for n in range(6, 201):
+            assert a[n] == 2 * a[n - 1] + 2 * a[n - 3] - a[n - 5]
+
+    def test_pinned_count_at_n64_r3(self):
+        assert ball_size_band_dp(BallSpec(64, 3)) == 3432242028000180842764778779397
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -109,7 +115,6 @@ class TestBackendAgreement:
             expected = ball_size_enumerate(spec)
             assert permanent_ryser(list(BandMatrix(spec).rows())) == expected
             assert ball_size_band_dp(spec) == expected
-            assert ball_size_band_dp(spec, vacant_encoding=True) == expected
 
 
 class TestInvariants:
@@ -161,13 +166,24 @@ class TestDispatch:
     def test_verification_mode_runs_everything(self):
         result = ball_size_exact_detailed(BallSpec(3, 1), verify=True)
         assert result.value == 3
-        for backend in ("band-dp", "band-dp/vacant", "enumerate", "ryser"):
-            assert backend in result.backend
+        assert result.backend == "band-dp+enumerate+ryser"
+        result = ball_size_exact_detailed(BallSpec(6, 5), verify=True)
+        assert result.value == 720
+        assert result.backend == "band-dp+closed-form+enumerate+ryser"
 
-    def test_verification_mode_large_n_uses_both_encodings(self):
-        result = ball_size_exact_detailed(BallSpec(100, 1), verify=True)
-        assert result.value == fibonacci(101)
-        assert "band-dp/vacant" in result.backend
+    def test_backend_restriction(self, tmp_path):
+        from permball.cache import ResultCache
+
+        cache = ResultCache(tmp_path)
+        spec = BallSpec(5, 2)
+        with pytest.raises(CapacityError):
+            ball_size_exact_detailed(spec, cache=cache, backends=())
+        result = ball_size_exact_detailed(spec, cache=cache, backends=("enumerate",))
+        assert (result.value, result.backend) == (31, "enumerate")
+        result = ball_size_exact_detailed(spec, cache=cache, backends=())
+        assert (result.value, result.backend) == (31, "cache")
+        with pytest.raises(DimensionError, match="unknown backends"):
+            ball_size_exact_detailed(spec, backends=("band-dp", "gpu"))
 
     def test_no_backend(self):
         with pytest.raises(CapacityError):
@@ -194,3 +210,43 @@ class TestDispatch:
             ball_size_exact(BallSpec(5, 2), cache=cache)
         problems = cache.audit()
         assert len(problems) == 1 and "n5_r2.json holds n=6, r=2" in problems[0]
+
+
+def fixed_cap_first_backend(spec):
+    """The cheapest backend under the earlier fixed caps (2r+1 <= 26 for
+    the DP, n <= 30 for Ryser)."""
+    if spec.r in (0, spec.n - 1):
+        return "closed-form"
+    if 2 * spec.r + 1 <= 26:
+        return "band-dp"
+    return "ryser" if spec.n <= 30 else None
+
+
+def benchmark_exact_cells():
+    """Every (n, r) the exact-cold benchmark workload draws."""
+    cells = {(n, r) for r in range(3, 8) for n in range(20, 101)}
+    cells.update(((15, 13), (16, 13), (16, 14), (17, 13), (17, 14), (17, 15)))
+    cells.update((n, 0) for n in range(2, 401))
+    cells.update((n, n - 1) for n in range(4, 61))
+    cells.update((n, r) for n in range(5, 13) for r in (1, 2))
+    return cells
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("n, r", [(30, 12), (22, 13)])
+    def test_refuses_cells_over_budget_at_once(self, n, r):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="work budget"):
+            ball_size_exact(BallSpec(n, r))
+        assert time.perf_counter() - start < 1.0
+
+    def test_keeps_the_first_backend_on_benchmark_cells(self):
+        for n, r in sorted(benchmark_exact_cells()):
+            spec = BallSpec(n, r)
+            assert applicable_backends(spec)[0] == fixed_cap_first_backend(spec), (n, r)
+
+    def test_small_cells_move_to_ryser_with_the_same_count(self):
+        # The DP's work model overestimates where 2r+1 nears n.
+        spec = BallSpec(16, 12)
+        assert applicable_backends(spec) == ["ryser"]
+        assert ball_size_exact(spec) == ball_size_band_dp(spec, override_capacity=True)

@@ -1,6 +1,7 @@
 """Property tests for the single definitions: the three radius ranges on
 ``BallSpec``, the domains that follow them, the figure grid, the sweep
-JSON against its CSV, and the band-cell matrices against dense references.
+JSON against its CSV, the band-cell matrices against dense references, and
+the exact counting backends against each other.
 
 Hypothesis runs derandomized and without an example database, so the
 suite stays deterministic and writes no ``.hypothesis/`` directory.
@@ -23,6 +24,7 @@ from permball.bounds import ALL_FAMILIES, bethe_bound, finite_bound, vdw_sinkhor
 from permball.cli import main
 from permball.core import BallSpec, BandMatrix
 from permball.errors import DomainError, ValidationError
+from permball.oracle import applicable_backends, ball_size_exact_detailed
 from permball.qmat import q_first_class, q_second_high, q_second_low, sinkhorn_balance
 from permball.scalar import log2_factorial
 from permball.tables import (
@@ -150,3 +152,12 @@ def test_band_cell_matrices_match_dense_references(spec):
         triplets = parse_matrix_triplets_csv(render_matrix_triplets_csv(q))
         assert [(i - 1, j - 1) for i, j, _ in triplets] == list(zip(*np.nonzero(dense)))
         assert [float(Fraction(value)) for _, _, value in triplets] == list(qv)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(specs(max_n=9))
+def test_every_applicable_backend_gives_the_same_count(spec):
+    # Verify mode raises VerificationError unless all the counts agree.
+    result = ball_size_exact_detailed(spec, verify=True)
+    assert result.backend.split("+") == sorted(applicable_backends(spec))
+    assert 1 <= result.value <= math.factorial(spec.n)

@@ -1,6 +1,7 @@
 """Ball-packing and covering rate bounds, old versus improved."""
 
 import math
+import time
 
 import pytest
 
@@ -171,6 +172,19 @@ class TestFiniteMode:
                     log2_factorial(n) - best_finite_lower_bound(spec)
                 ) / n
                 assert with_oracle <= with_bound + 1e-12
+
+    def test_cells_over_the_exact_budget_take_the_lower_bound(self):
+        # delta = 0.26 at n = 100 asks for |B_{12,100}|, which no exact
+        # backend counts within its work budget.
+        from permball.bounds import best_finite_lower_bound
+
+        start = time.perf_counter()
+        point = ecc_rate_upper(0.26, "new", "finite", n=100)
+        assert time.perf_counter() - start < 1.0
+        expected = (
+            log2_factorial(100) - best_finite_lower_bound(BallSpec(100, 12))
+        ) / 100
+        assert point.rate_bits == expected
 
     def test_finite_cover_requires_integral_radius(self):
         with pytest.raises(ValidationError, match="not integral"):
