@@ -13,10 +13,7 @@ from .bounds import (
 from .core import (
     BallSpec,
     BandMatrix,
-    NormalizedRadius,
-    PermutationVector,
-    band_entry,
-    infinity_distance,
+    parse_rho,
     radius_from_rho,
 )
 from .errors import (
@@ -56,4 +53,24 @@ from .scalar import (
     t_hat,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # asym
+    "crossover_xi", "exponent", "gap", "gap_curve_table",
+    # bounds
+    "BoundValue", "bethe_bound", "finite_bound", "vdw_sinkhorn_bound",
+    # core
+    "BallSpec", "BandMatrix", "parse_rho", "radius_from_rho",
+    # errors
+    "CapacityError", "ConvergenceError", "DimensionError", "DomainError",
+    "PermballError", "SupportError", "ValidationError", "VerificationError",
+    # oracle
+    "ball_size_band_dp", "ball_size_enumerate", "ball_size_exact", "permanent_ryser",
+    # qmat
+    "ScalingVectors", "StochasticMatrix", "q_first_class", "q_second_high",
+    "q_second_low", "sinkhorn_balance",
+    # rates
+    "RatePoint", "covering_rate_upper", "ecc_rate_upper", "rate_table",
+    # scalar
+    "alpha_high_root", "alpha_low_root", "binary_entropy", "lambert_w",
+    "log2_factorial", "mu_star", "omega_r", "sr_sums", "t_hat",
+]

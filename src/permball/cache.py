@@ -15,7 +15,6 @@ import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
 
 from .core import BallSpec
 from .errors import ValidationError
@@ -48,7 +47,12 @@ class ResultCache:
 
     def __init__(self, directory: Path | str):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot use cache directory {directory}: {exc}"
+            ) from exc
 
     def path_for(self, spec: BallSpec) -> Path:
         return self.directory / f"n{spec.n}_r{spec.r}.json"
@@ -65,7 +69,8 @@ class ResultCache:
             record = CacheRecord(**data)
             key = record.spec()
         except (
-            json.JSONDecodeError, TypeError, KeyError, ValueError, ValidationError
+            OSError, json.JSONDecodeError, TypeError, KeyError, ValueError,
+            ValidationError,
         ) as exc:
             raise ValidationError(f"unreadable cache record {path}: {exc}") from exc
         count = record.exact_count
@@ -104,10 +109,6 @@ class ResultCache:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
         return record
-
-    def records(self) -> Iterator[CacheRecord]:
-        for path in sorted(self.directory.glob("n*_r*.json")):
-            yield self._load(path)
 
     def audit(self) -> list[str]:
         """Recompute every reachable record; return mismatch descriptions."""

@@ -23,6 +23,7 @@ from .asym import GAP_PAIRS, gap_curve_table, step_grid
 from .bounds import (
     ALL_FAMILIES,
     CLOSED_FAMILIES,
+    DIRECTIONS,
     GENERIC_FAMILIES,
     BoundValue,
     bethe_bound,
@@ -30,7 +31,7 @@ from .bounds import (
     vdw_sinkhorn_bound,
 )
 from .cache import ResultCache, default_cache_dir
-from .core import BallSpec, BandMatrix, NormalizedRadius, radius_from_rho
+from .core import BallSpec, BandMatrix, parse_rho, radius_from_rho
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -105,11 +106,7 @@ def _resolve_cache(args) -> ResultCache | None:
 
 def _specs_for(n: int, args) -> list[BallSpec]:
     if args.rho is not None:
-        specs = []
-        for text in args.rho.split(","):
-            rho = NormalizedRadius.parse(text)
-            specs.append(radius_from_rho(rho, n))
-        return specs
+        return [radius_from_rho(parse_rho(text), n) for text in args.rho.split(",")]
     if args.r is None or args.r == "all":
         return [BallSpec(n, r) for r in range(n)]
     return [BallSpec(n, r) for r in _parse_int_list(args.r)]
@@ -122,7 +119,7 @@ def cmd_exact(args) -> int:
     if (args.r is None) == (args.rho is None):
         raise ValidationError("give exactly one of --r and --rho")
     if args.rho is not None:
-        spec = radius_from_rho(NormalizedRadius.parse(args.rho), args.n)
+        spec = radius_from_rho(parse_rho(args.rho), args.n)
     else:
         spec = BallSpec(args.n, args.r)
     cache = _resolve_cache(args)
@@ -157,15 +154,14 @@ def _sweep_cell(families, cache_dir, n: int, r: int) -> list:
     for family in families:
         if family in CLOSED_FAMILIES:
             rows.append(finite_bound(family, spec))
-        elif balanced is None:
-            rows.append(BoundValue(family, "lower", float("nan"), spec, False, failure))
+            continue
+        direction = DIRECTIONS[family]
+        if balanced is None:
+            rows.append(BoundValue(family, direction, float("nan"), spec, False, failure))
         else:
-            functional = (
-                vdw_sinkhorn_bound if family == "vdw_generic" else bethe_bound
-            )
-            rows.append(
-                BoundValue(family, "lower", functional(band, balanced), spec, True)
-            )
+            functional = vdw_sinkhorn_bound if family == "vdw_generic" else bethe_bound
+            bits = functional(band, balanced)
+            rows.append(BoundValue(family, direction, bits, spec, True))
     return [(bv, exact_count) for bv in sorted(rows, key=lambda b: b.family)]
 
 
@@ -184,8 +180,10 @@ def cmd_sweep(args) -> int:
             raise ValidationError(
                 f"unknown families {unknown}; choose from {list(ALL_FAMILIES)}"
             )
-    cache = _resolve_cache(args)
     cells = sorted({(spec.n, spec.r) for n in n_values for spec in _specs_for(n, args)})
+    if not cells:
+        raise ValidationError(f"no (n, r) cells in the selection --n {args.n}")
+    cache = _resolve_cache(args)
     ns, rs = zip(*cells)
     cell = partial(_sweep_cell, tuple(families), str(cache.directory))
     # The pool forks all its workers at the first submit, so it gets no

@@ -79,28 +79,6 @@ class StochasticMatrix:
     def is_exact(self) -> bool:
         return self.exact_numerators is not None
 
-    def _positions(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Indices into ``values`` of the zero-based band cells (i, j)."""
-        row_starts = np.searchsorted(self.cells[0], np.arange(self.n))
-        return row_starts[i] + j - np.maximum(i - self.spec.r, 0)
-
-    def _at(self, x: np.ndarray, i: int, j: int) -> np.number | int:
-        """Cell array x at one-based (i, j); 0 off the band."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise DimensionError(f"index ({i},{j}) outside 1..{self.n}")
-        if abs(i - j) > self.spec.r:
-            return 0
-        return x[int(self._positions(i - 1, j - 1))]
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self._at(self.values, i, j))
-
-    def entry_exact(self, i: int, j: int) -> Fraction:
-        if not self.is_exact:
-            raise ValidationError("matrix was not built in exact mode")
-        numerator = int(self._at(self.exact_numerators, i, j))
-        return Fraction(numerator, self.exact_denominator)
-
     def row_sums(self) -> np.ndarray:
         return _line_sums(self.cells, self.values, self.n)[0]
 
@@ -120,7 +98,9 @@ class StochasticMatrix:
     def is_symmetric(self, tol: float = 0.0) -> bool:
         x = self.exact_numerators if self.is_exact else self.values
         rows, cols = self.cells
-        mirrored = x[self._positions(cols, rows)]
+        # Cell (j, i) sits at its row's start plus its offset within the row.
+        row_starts = np.searchsorted(rows, np.arange(self.n))
+        mirrored = x[row_starts[cols] + rows - np.maximum(cols - self.spec.r, 0)]
         return bool(np.abs(x - mirrored).max() <= (0 if self.is_exact else tol))
 
     def support_equals_band(self) -> bool:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .asym import CROSSOVER_XI
 from .bounds import best_finite_lower_bound
-from .core import BallSpec, radius_from_rho
+from .core import RHO_DENOMINATOR_LIMIT, BallSpec, radius_from_rho
 from .errors import CapacityError, DomainError, ValidationError
 from .oracle import ball_size_exact
 from .scalar import LOG2E, LN2, log2_factorial, t_hat
@@ -127,9 +128,7 @@ def covering_rate_upper(
         raise ValidationError(f"unknown mode {mode!r}")
     if n is None or n < 2:
         raise ValidationError("finite mode requires n >= 2")
-    from fractions import Fraction
-
-    spec = radius_from_rho(Fraction(rho).limit_denominator(10**6), n)
+    spec = radius_from_rho(Fraction(rho).limit_denominator(RHO_DENOMINATOR_LIMIT), n)
     ln_nf = log2_factorial(n) * LN2
     rate = (
         log2_factorial(n) + math.log2(1.0 + ln_nf) - _log2_ball_or_lower(spec)

@@ -124,6 +124,16 @@ class TestSweep:
         assert code == 1 and "cannot parse integer list" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["0", "0..0"])
+    def test_selection_without_cells_exits_one(self, capsys, tmp_path, n):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sweep", "--n", n,
+            "--out", str(out), "--cache-dir", str(tmp_path / "c"),
+        )
+        assert code == 1 and "error: no (n, r) cells" in err
+        assert not out.exists()
+
     def test_r_and_rho_together_exit_one(self, capsys, tmp_path):
         out = tmp_path / "x.csv"
         code, _, err = run(
@@ -408,6 +418,32 @@ class TestVerifyCommand:
             )
             assert code == 4
             assert message in err
+
+
+class TestCacheIOErrors:
+    """A cache directory that is a file, or a record path that is a
+    directory, exits 1 from exact and sweep and fails verify's audit."""
+
+    @pytest.mark.parametrize(
+        "broken,message",
+        [("dir-is-file", "cannot use cache directory"),
+         ("record-is-dir", "unreadable cache record")],
+    )
+    def test_exit_codes(self, capsys, tmp_path, broken, message):
+        cache = tmp_path / "cache"
+        if broken == "dir-is-file":
+            cache.write_text("not a directory\n")
+        else:
+            (cache / "n5_r2.json").mkdir(parents=True)
+        out = tmp_path / "x.csv"
+        for argv, expected in (
+            (("exact", "--n", "5", "--r", "2"), 1),
+            (("sweep", "--n", "5", "--r", "2", "--out", str(out)), 1),
+            (("verify", "--level", "quick"), 4),
+        ):
+            code, _, err = run(capsys, *argv, "--cache-dir", str(cache))
+            assert code == expected and message in err
+        assert not out.exists()
 
 
 class TestEnvironment:

@@ -1,36 +1,21 @@
-"""Metric axioms, band indexing, and radius conversion."""
+"""Metric axioms, the band matrix, radius conversion, and the package's
+public names."""
 
 import itertools
+import re
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from permball.core import (
-    BallSpec,
-    BandMatrix,
-    NormalizedRadius,
-    PermutationVector,
-    band_entry,
-    infinity_distance,
-    radius_from_rho,
-)
-from permball.errors import DimensionError, ValidationError
+from permball.core import BallSpec, BandMatrix, parse_rho, radius_from_rho
+from permball.errors import ValidationError
 from fractions import Fraction
 
 
 def dist(f, g):
     return max(abs(a - b) for a, b in zip(f, g))
-
-
-def test_distance_examples():
-    assert infinity_distance((1, 2, 3), (1, 2, 3)) == 0
-    assert infinity_distance((2, 1), (1, 2)) == 1
-    assert infinity_distance((3, 1, 2), (1, 2, 3)) == 2
-
-
-def test_distance_length_mismatch():
-    with pytest.raises(DimensionError):
-        infinity_distance((1, 2), (1, 2, 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -74,31 +59,6 @@ def test_right_invariance(n):
                 assert dist(fh, gh) == d
 
 
-def test_permutation_vector_validation():
-    with pytest.raises(ValidationError):
-        PermutationVector((1, 1, 2))
-    with pytest.raises(ValidationError):
-        PermutationVector((0, 1))
-    with pytest.raises(ValidationError):
-        PermutationVector(())
-
-
-def test_permutation_serialization_round_trip():
-    p = PermutationVector.from_string("3,1,2")
-    assert p.image == (3, 1, 2)
-    assert p.to_string() == "3,1,2"
-    assert PermutationVector.from_string(p.to_string()) == p
-    with pytest.raises(ValidationError):
-        PermutationVector.from_string("3,1,x")
-
-
-def test_compose_matches_right_invariance_definition():
-    f = PermutationVector((2, 3, 1))
-    h = PermutationVector((3, 1, 2))
-    assert f.compose(h).image == (1, 2, 3)
-    assert infinity_distance(f.compose(h), h.compose(h).compose(h)) >= 0
-
-
 def test_ball_spec_validation():
     with pytest.raises(ValidationError):
         BallSpec(0, 0)
@@ -110,31 +70,23 @@ def test_ball_spec_validation():
     assert BallSpec(1, 0).rho == 0
 
 
-def test_band_entry_examples():
-    assert band_entry(BallSpec(5, 2), 1, 3) == 1
-    assert band_entry(BallSpec(5, 2), 1, 4) == 0
-    n4_full = BallSpec(4, 3)
-    assert all(
-        band_entry(n4_full, i, j) == 1 for i in range(1, 5) for j in range(1, 5)
-    )
-    with pytest.raises(DimensionError):
-        band_entry(BallSpec(5, 2), 0, 1)
-    with pytest.raises(DimensionError):
-        band_entry(BallSpec(5, 2), 1, 6)
+def test_band_rows_examples():
+    rows = list(BandMatrix(BallSpec(5, 2)).rows())
+    assert rows[0] == [1, 1, 1, 0, 0]
+    assert rows[2] == [1, 1, 1, 1, 1]
+    assert all(row == [1] * 4 for row in BandMatrix(BallSpec(4, 3)).rows())
 
 
 @pytest.mark.parametrize("n,r", [(5, 2), (6, 0), (7, 6), (9, 3)])
 def test_band_symmetry_and_row_counts(n, r):
-    spec = BallSpec(n, r)
-    band = BandMatrix(spec)
-    for i in range(1, n + 1):
-        assert r + 1 <= band.row_ones(i) <= 2 * r + 1
-        for j in range(1, n + 1):
-            assert band.entry(i, j) == band.entry(j, i)
+    band = BandMatrix(BallSpec(n, r))
+    dense = np.array(list(band.rows()))
+    assert (dense == dense.T).all()
+    assert ((r + 1 <= dense.sum(axis=1)) & (dense.sum(axis=1) <= 2 * r + 1)).all()
     idx = np.arange(n)
     mask = np.abs(idx[:, None] - idx[None, :]) <= r
+    assert (dense == mask).all()
     rows, cols = band.cells()
-    assert mask.sum() == sum(band.row_ones(i) for i in range(1, n + 1))
     # The cells are the mask's nonzero cells, in the same row-major order.
     assert (rows == np.nonzero(mask)[0]).all() and (cols == np.nonzero(mask)[1]).all()
 
@@ -149,12 +101,26 @@ def test_radius_from_rho():
 
 
 def test_normalized_radius_parsing():
-    assert NormalizedRadius.parse("1/2").rho == Fraction(1, 2)
-    assert NormalizedRadius.parse("0.25").rho == Fraction(1, 4)
-    assert NormalizedRadius.parse("0.5").radius(9) == BallSpec(9, 4)
-    with pytest.raises(ValidationError):
-        NormalizedRadius.parse("3/2")
+    assert parse_rho("1/2") == Fraction(1, 2)
+    assert parse_rho(" 0.25 ") == Fraction(1, 4)
+    assert radius_from_rho(parse_rho("0.5"), 9) == BallSpec(9, 4)
+    # parse_rho leaves the range to radius_from_rho.
+    with pytest.raises(ValidationError, match=r"rho=3/2 outside \[0, 1\]"):
+        radius_from_rho(parse_rho("3/2"), 9)
     with pytest.raises(ValidationError, match="denominator"):
-        NormalizedRadius.parse("0.333333333333333")
-    with pytest.raises(ValidationError):
-        NormalizedRadius.parse("abc")
+        parse_rho("0.333333333333333")
+    with pytest.raises(ValidationError, match="cannot parse"):
+        parse_rho("abc")
+    with pytest.raises(ValidationError, match="cannot parse"):
+        parse_rho("1/0")
+
+
+def test_star_import_binds_no_module_and_every_quick_tour_name():
+    namespace = {}
+    exec("from permball import *", namespace)
+    modules = [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
+    assert modules == []
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"from permball import \(([^)]*)\)", readme).group(1)
+    names = {name.strip() for name in block.split(",") if name.strip()}
+    assert "BallSpec" in names and names <= namespace.keys()

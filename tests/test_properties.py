@@ -1,7 +1,8 @@
 """Property tests for the single definitions: the three radius ranges on
 ``BallSpec``, the domains that follow them, the figure grid, the sweep
-JSON against its CSV, the band-cell matrices against dense references, and
-the exact counting backends against each other.
+JSON against its CSV, the band-cell matrices against dense references,
+the exact counting backends against each other, the rho round trip, and
+the cache's keyed records.
 
 Hypothesis runs derandomized and without an example database, so the
 suite stays deterministic and writes no ``.hypothesis/`` directory.
@@ -9,20 +10,23 @@ suite stays deterministic and writes no ``.hypothesis/`` directory.
 
 import json
 import math
+import re
+import shutil
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from permball.asym import GRID_MIN_STEP, step_grid
 from permball.bounds import ALL_FAMILIES, bethe_bound, finite_bound, vdw_sinkhorn_bound
+from permball.cache import ResultCache
 from permball.cli import main
-from permball.core import BallSpec, BandMatrix
+from permball.core import BallSpec, BandMatrix, parse_rho, radius_from_rho
 from permball.errors import DomainError, ValidationError
 from permball.oracle import applicable_backends, ball_size_exact_detailed
 from permball.qmat import q_first_class, q_second_high, q_second_low, sinkhorn_balance
@@ -161,3 +165,33 @@ def test_every_applicable_backend_gives_the_same_count(spec):
     result = ball_size_exact_detailed(spec, verify=True)
     assert result.backend.split("+") == sorted(applicable_backends(spec))
     assert 1 <= result.value <= math.factorial(spec.n)
+
+
+@PROPERTY_SETTINGS
+@given(specs(max_n=60))
+def test_rho_text_round_trips_to_the_same_spec(spec):
+    assert radius_from_rho(parse_rho(str(spec.rho)), spec.n) == spec
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 200), st.fractions(0, 1, max_denominator=60))
+def test_nearest_admissible_n_is_another_n_that_is_accepted(n, rho):
+    assume((rho * (n - 1)).denominator != 1)
+    with pytest.raises(ValidationError, match="nearest admissible n") as info:
+        radius_from_rho(rho, n)
+    nearest = int(re.search(r"nearest admissible n is (\d+)", str(info.value))[1])
+    assert nearest != n
+    assert radius_from_rho(rho, nearest).r == rho * (nearest - 1)
+
+
+@PROPERTY_SETTINGS
+@given(specs(max_n=60), st.integers(0, 10**40), specs(max_n=60))
+def test_cache_round_trips_and_refuses_a_record_under_another_key(spec, count, other):
+    assume(other != spec)
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ResultCache(directory)
+        cache.put(spec, count, "band-dp")
+        assert int(cache.get(spec).exact_count) == count
+        shutil.copy(cache.path_for(spec), cache.path_for(other))
+        with pytest.raises(ValidationError, match="which its file name does not"):
+            cache.get(other)

@@ -18,17 +18,24 @@ from permball.qmat import (
 from permball.scalar import alpha_low_root
 
 
+def exact_entries(q):
+    """q's exact entries as a dense, zero-based grid of Fractions."""
+    numerators = np.zeros((q.n, q.n), dtype=np.int64)
+    numerators[q.cells] = q.exact_numerators
+    return [[Fraction(int(v), q.exact_denominator) for v in row] for row in numerators]
+
+
 class TestFirstClass:
     def test_low_regime_entries(self):
-        q = q_first_class(BallSpec(5, 1))
-        assert q.entry_exact(1, 1) == Fraction(2, 3)
-        assert q.entry_exact(2, 1) == Fraction(1, 3)
-        assert sum(q.entry_exact(i, 1) for i in range(1, 6)) == 1
+        q = exact_entries(q_first_class(BallSpec(5, 1)))
+        assert q[0][0] == Fraction(2, 3)
+        assert q[1][0] == Fraction(1, 3)
+        assert sum(row[0] for row in q) == 1
 
     def test_high_regime_entries(self):
-        q = q_first_class(BallSpec(4, 2))
-        assert q.entry_exact(1, 1) == Fraction(2, 4)
-        assert q.entry_exact(2, 3) == Fraction(1, 4)
+        q = exact_entries(q_first_class(BallSpec(4, 2)))
+        assert q[0][0] == Fraction(2, 4)
+        assert q[1][2] == Fraction(1, 4)
 
     def test_exact_double_stochasticity(self):
         q = q_first_class(BallSpec(6, 2))
@@ -38,10 +45,10 @@ class TestFirstClass:
 
     def test_column_sums_by_direct_summation(self):
         for n, r in ((6, 2), (9, 4), (10, 7), (7, 3)):
-            q = q_first_class(BallSpec(n, r))
-            for j in range(1, n + 1):
-                assert sum(q.entry_exact(i, j) for i in range(1, n + 1)) == 1
-                assert sum(q.entry_exact(j, i) for i in range(1, n + 1)) == 1
+            q = exact_entries(q_first_class(BallSpec(n, r)))
+            for j in range(n):
+                assert sum(row[j] for row in q) == 1
+                assert sum(q[j]) == 1
 
     def test_regime_boundary_consistency(self):
         # Odd n with 2r = n-1: both defining formulas must coincide.
@@ -52,7 +59,7 @@ class TestFirstClass:
     def test_identity_at_radius_zero(self):
         q = q_first_class(BallSpec(5, 0))
         assert q.exactly_doubly_stochastic()
-        assert all(q.entry_exact(i, i) == 1 for i in range(1, 6))
+        assert all(exact_entries(q)[i][i] == 1 for i in range(5))
 
 
 class TestSecondLow:
@@ -61,9 +68,9 @@ class TestSecondLow:
         alpha = alpha_low_root(2).value
         c = (alpha - 1) / (alpha + 1)
         q = q_second_low(spec)
-        assert q.entry(4, 4) == pytest.approx(c, abs=1e-12)
+        assert q.entries[3, 3] == pytest.approx(c, abs=1e-12)
         assert c == pytest.approx(0.1396806, abs=1e-6)
-        assert q.entry(1, 1) == pytest.approx(c * alpha**4, abs=1e-12)
+        assert q.entries[0, 0] == pytest.approx(c * alpha**4, abs=1e-12)
         # alpha^4 = alpha^2 + alpha by the defining cubic
         assert alpha**4 == pytest.approx(alpha**2 + alpha, abs=1e-12)
 
@@ -97,8 +104,8 @@ class TestSecondHigh:
         alpha = math.sqrt(2)
         c = (alpha - 1) / 2
         assert c == pytest.approx(0.2071068, abs=1e-7)
-        assert q.entry(1, 1) == pytest.approx(c * alpha**2, abs=1e-12)
-        assert q.entry(1, 1) == pytest.approx(0.4142136, abs=1e-7)
+        assert q.entries[0, 0] == pytest.approx(c * alpha**2, abs=1e-12)
+        assert q.entries[0, 0] == pytest.approx(0.4142136, abs=1e-7)
         assert float(q.col_sums()[0]) == pytest.approx(
             c * alpha * (alpha + 2), abs=1e-12
         )

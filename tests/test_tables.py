@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from permball.asym import GAP_PAIRS, gap_curve_table
@@ -92,13 +93,13 @@ def test_matrix_dense_exact_round_trip():
     sm = q_first_class(BallSpec(5, 1))
     text = render_matrix_dense_csv(sm)
     assert "2/3" in text and "1/3" in text
-    grid = parse_matrix_dense_csv(text)
-    assert len(grid) == 5
-    for i in range(1, 6):
-        for j in range(1, 6):
-            assert grid[i - 1][j - 1] == sm.entry_exact(i, j)
+    numerators = np.zeros((5, 5), dtype=np.int64)
+    numerators[sm.cells] = sm.exact_numerators
+    assert parse_matrix_dense_csv(text) == [
+        [Fraction(int(v), sm.exact_denominator) for v in row] for row in numerators
+    ]
     floats = parse_matrix_dense_csv(render_matrix_dense_csv(q_second_high(BallSpec(4, 2))))
-    assert float(floats[0][0]) == q_second_high(BallSpec(4, 2)).entry(1, 1)
+    assert float(floats[0][0]) == q_second_high(BallSpec(4, 2)).entries[0, 0]
 
 
 def test_rate_wide_round_trip():
@@ -121,7 +122,7 @@ def test_matrix_triplets_round_trip():
     triplets = parse_matrix_triplets_csv(text)
     assert len(triplets) == 14
     for i, j, value in triplets:
-        assert sm.entry(i, j) == float(value)
+        assert sm.entries[i - 1, j - 1] == float(value)
 
 
 def test_data_section_strips_comments():
