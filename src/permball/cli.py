@@ -366,6 +366,8 @@ def _emit(out, text: str) -> None:
     path = Path(out)
     if path.parent and not path.parent.exists():
         raise ValidationError(f"output directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ValidationError(f"output path {path} is a directory")
     path.write_text(text, encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)
 

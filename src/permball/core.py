@@ -121,7 +121,7 @@ def radius_from_rho(rho: Fraction, n: int) -> BallSpec:
     """Convert a normalized radius to BallSpec(n, rho*(n-1)).
 
     rho*(n-1) must be an integer; otherwise a ValidationError names the
-    nearest n for which it would be (never silently rounded).
+    nearest n >= 2 for which it would be (never silently rounded).
     """
     if not 0 <= rho <= 1:
         raise ValidationError(f"rho={rho} outside [0, 1]")
@@ -129,12 +129,11 @@ def radius_from_rho(rho: Fraction, n: int) -> BallSpec:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     product = rho * (n - 1)
     if product.denominator != 1:
+        # The admissible n are 1 + m*q; m = 0 gives the one-symbol space.
         q = rho.denominator
         lower = 1 + q * ((n - 1) // q)
         upper = lower + q
-        if lower < 1 or lower == n:
-            lower = upper
-        nearest = lower if abs(n - lower) <= abs(n - upper) else upper
+        nearest = lower if lower > 1 and n - lower <= upper - n else upper
         raise ValidationError(
             f"rho*(n-1)={float(product):g} not integral for rho={rho} and "
             f"n={n}; nearest admissible n is {nearest}"

@@ -1,10 +1,12 @@
 """Exact ball sizes |B_{r,n}| by mutually checking counting backends.
 
-Four routes to the same integer: closed forms at the r = 0 and r = n-1
-boundaries, a column-sweep transfer DP over the band window, Ryser's
-inclusion-exclusion permanent on the dense band matrix, and brute-force
-enumeration of S_n.  ``ball_size_exact`` dispatches to the cheapest
-applicable one, or runs all of them and insists they agree.
+Five routes to the same integer: closed forms at the r = 0 and r = n-1
+boundaries, a column-sweep transfer DP over the band window in Python
+integers, the same DP in numpy residues modulo several coprime moduli,
+Ryser's inclusion-exclusion permanent on the dense band matrix, and
+brute-force enumeration of S_n.  ``ball_size_exact`` dispatches to the
+backend predicted to be fastest, or runs all of them and insists they
+agree.
 """
 
 from __future__ import annotations
@@ -22,16 +24,36 @@ from .errors import CapacityError, DimensionError, VerificationError
 if TYPE_CHECKING:
     from .cache import ResultCache
 
-# Documented capacity limits.  The dispatcher always applies them; each
-# backend function accepts override_capacity=True for direct expert calls.
-# One work unit is one inner-loop step: Ryser does 2^n * n of them, the
-# band DP at most n * C(2r, r) * (2r+1).  Both took 1-2e-7 s per unit on
-# a 2-vCPU Xeon host, so the budget is a few seconds per count.
-ENUMERATE_MAX_N = 10
-EXACT_MAX_WORK = 2 * 10**7
+# One documented capacity limit: a backend is used only where its
+# predicted run time is at most EXACT_MAX_SECONDS, and the dispatcher
+# prefers the one predicted fastest.  The dispatcher always applies the
+# limit; the Python-integer backends accept override_capacity=True for
+# direct expert calls.  Each prediction is a least-squares fit (in
+# relative error) of run times measured on a 2-vCPU Intel Xeon host, in
+# work units: one unit is one inner-loop step, n! * n for enumeration,
+# 2^n * n for Ryser and at most n * C(2r, r) * (2r+1) for either band DP.
+EXACT_MAX_SECONDS = 3.0
+DP_S_PER_UNIT = 2.0e-7
+RYSER_S_PER_UNIT = 1.7e-7
+ENUMERATE_S_PER_UNIT = 2.1e-7
+# Ryser and enumeration also pay about 30 us per call to set up the dense
+# rows or the permutation iterator; it keeps cells with n <= 5 on the
+# Python-integer band DP.
+SETUP_S = 3.0e-5
+# The residue DP pays one set of numpy calls per column and row choice,
+# plus its units times the number of moduli.
+MODULAR_S_PER_CHOICE = 9.5e-6
+MODULAR_S_PER_UNIT = 3.3e-9
+
+# Residues stay below 2^56, so the at most 2r+1 of them added into one
+# count before the next reduction fit in int64 for every r <= 63; the
+# budget admits nothing near that, and the uint64 state masks (2r+1 bits)
+# end at r = 31.
+RESIDUE_BITS = 56
 
 BACKEND_CLOSED = "closed-form"
 BACKEND_DP = "band-dp"
+BACKEND_MODULAR = "modular-dp"
 BACKEND_RYSER = "ryser"
 BACKEND_ENUMERATE = "enumerate"
 
@@ -44,10 +66,10 @@ class ExactResult:
 
 def ball_size_enumerate(spec: BallSpec, *, override_capacity: bool = False) -> int:
     """Count permutations within distance r of the identity by generation."""
-    if spec.n > ENUMERATE_MAX_N and not override_capacity:
+    if _enumerate_seconds(spec.n) > EXACT_MAX_SECONDS and not override_capacity:
         raise CapacityError(
-            f"enumeration capped at n={ENUMERATE_MAX_N} (n! blowup); "
-            "use the band DP instead"
+            f"enumeration at n={spec.n} exceeds the work budget of "
+            f"{EXACT_MAX_SECONDS:g} s (n! blowup); use the band DP instead"
         )
     n, r = spec.n, spec.r
     count = 0
@@ -79,9 +101,9 @@ def permanent_ryser(
         raise DimensionError("permanent requires a square matrix")
     if any(x < 0 for row in rows for x in row):
         raise DimensionError("permanent backend requires non-negative entries")
-    if _ryser_work(n) > EXACT_MAX_WORK and not override_capacity:
+    if _ryser_seconds(n) > EXACT_MAX_SECONDS and not override_capacity:
         raise CapacityError(
-            f"Ryser at n={n} exceeds the work budget of {EXACT_MAX_WORK} units"
+            f"Ryser at n={n} exceeds the work budget of {EXACT_MAX_SECONDS:g} s"
         )
     if n == 0:
         return 1
@@ -122,10 +144,10 @@ def ball_size_band_dp(spec: BallSpec, *, override_capacity: bool = False) -> int
     before the window slides past it, which is what makes the state finite.
     """
     n, r = spec.n, spec.r
-    if _dp_work(spec) > EXACT_MAX_WORK and not override_capacity:
+    if _dp_seconds(spec) > EXACT_MAX_SECONDS and not override_capacity:
         raise CapacityError(
             f"band DP at n={n}, r={r} exceeds the work budget of "
-            f"{EXACT_MAX_WORK} units; use Ryser for small n"
+            f"{EXACT_MAX_SECONDS:g} s; use Ryser for small n"
         )
     width = 2 * r + 1
     top_bit = 1 << (width - 1)
@@ -153,36 +175,161 @@ def ball_size_band_dp(spec: BallSpec, *, override_capacity: bool = False) -> int
     return states.get((1 << width) - 1, 0)
 
 
-def _ryser_work(n: int) -> int:
-    return n << n
+def ball_size_modular_dp(spec: BallSpec) -> int:
+    """The band DP of ``ball_size_band_dp`` in numpy residues.
+
+    States are a sorted uint64 array of the same window masks.  Counts are
+    an int64 (states, k) array, one column per modulus, reduced once per
+    column; the Chinese remainder theorem rebuilds the integer at the end.
+    The k moduli multiply past the product of the row degrees, which
+    bounds the permanent, so the rebuilt integer is the exact count.
+    """
+    n, r = spec.n, spec.r
+    if _modular_seconds(spec) > EXACT_MAX_SECONDS:
+        raise CapacityError(
+            f"modular band DP at n={n}, r={r} exceeds the work budget of "
+            f"{EXACT_MAX_SECONDS:g} s"
+        )
+    moduli = _moduli(_degree_product(spec))
+    divisors = np.array(moduli, dtype=np.int64)
+    states = np.array([(1 << r) - 1], dtype=np.uint64)
+    counts = np.ones((1, len(moduli)), dtype=np.int64)
+    bulk = None
+    for j in range(1, n + 1):
+        if r < j < n - r:
+            # Bulk columns share one transfer map.  Their state set is
+            # every r-subset of the lower 2r window bits, which the left
+            # boundary columns reach in full and each bulk column maps
+            # onto itself, so one map serves them all.
+            if bulk is None:
+                bulk = _modular_column(states, n, r, j)
+            states, moves = bulk
+        else:
+            # Free the last column's map before building this one.
+            bulk = moves = None
+            states, moves = _modular_column(states, n, r, j)
+        out = np.zeros((states.size, len(moduli)), dtype=np.int64)
+        for src, dst in moves:
+            # Each row choice maps states one-to-one, so dst has no repeats.
+            out[dst] += counts[src]
+        out %= divisors
+        counts = out
+    # Every path ends in the full window mask, the only final state.
+    value, modulus = 0, 1
+    for m, residue in zip(moduli, counts[0].tolist()):
+        value += modulus * ((residue - value) * pow(modulus, -1, m) % m)
+        modulus *= m
+    return value
+
+
+def _modular_column(
+    states: np.ndarray, n: int, r: int, j: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Column j of the band DP on sorted masks: the sorted next states and,
+    per row choice, the source and destination indices it moves."""
+    base = j - r
+    top = 1 << (2 * r) if j + 1 + r > n else 0
+    odd = (states & 1).astype(bool)
+    sources, targets = [], []
+    for bit in range(max(1, base) - base, min(n, j + r) - base + 1):
+        free = (states & (1 << bit)) == 0
+        src = (free if bit == 0 else free & odd).nonzero()[0]
+        sources.append(src.astype(np.int32))
+        targets.append(((states[src] | (1 << bit)) >> 1) | top)
+    # Sort and drop neighbour repeats (np.unique would import numpy.ma).
+    merged = np.concatenate(targets)
+    merged.sort()
+    keep = np.ones(merged.size, dtype=bool)
+    keep[1:] = merged[1:] != merged[:-1]
+    nxt = merged[keep]
+    del merged, keep
+    # int32 indices and dropping each choice's masks once it is ranked
+    # keep the peak memory near 20 bytes per move.
+    moves = []
+    for i, src in enumerate(sources):
+        moves.append((src, nxt.searchsorted(targets[i]).astype(np.int32)))
+        targets[i] = None
+    return nxt, moves
+
+
+def _moduli(bound: int) -> list[int]:
+    """Pairwise coprime moduli below 2^RESIDUE_BITS whose product exceeds
+    ``bound``: the largest integers coprime to the ones already taken."""
+    moduli: list[int] = []
+    product, m = 1, (1 << RESIDUE_BITS) - 1
+    while product <= bound:
+        if all(math.gcd(m, q) == 1 for q in moduli):
+            moduli.append(m)
+            product *= m
+        m -= 1
+    return moduli
+
+
+def _degree_product(spec: BallSpec) -> int:
+    n, r = spec.n, spec.r
+    return math.prod(min(n, i + r) - max(1, i - r) + 1 for i in range(1, n + 1))
+
+
+# The clamps below keep each prediction a finite float where the count is
+# far over the budget anyway: 20! * 20 and 2^64 * 64 units, or C(64, 32)
+# window states, are years of work at any of the rates above.
+
+
+def _enumerate_seconds(n: int) -> float:
+    n = min(n, 20)
+    return SETUP_S + ENUMERATE_S_PER_UNIT * math.factorial(n) * n
+
+
+def _ryser_seconds(n: int) -> float:
+    n = min(n, 64)
+    return SETUP_S + RYSER_S_PER_UNIT * (n << n)
 
 
 def _dp_work(spec: BallSpec) -> int:
-    # C(2r, r) >= 2^r, so a radius past the budget's bit length is over it
-    # anyway; clamping it keeps the binomial small at large r.
-    r = min(spec.r, EXACT_MAX_WORK.bit_length())
+    r = min(spec.r, 32)
     return spec.n * math.comb(2 * r, r) * (2 * r + 1)
+
+
+def _dp_seconds(spec: BallSpec) -> float:
+    return DP_S_PER_UNIT * _dp_work(spec)
+
+
+def _modular_seconds(spec: BallSpec) -> float:
+    n, width = spec.n, 2 * min(spec.r, 32) + 1
+    # n * log2(2r+1) bits bound the degree product, so this bounds k.
+    moduli = n * math.log2(width) / RESIDUE_BITS + 1
+    return (
+        MODULAR_S_PER_CHOICE * n * width
+        + MODULAR_S_PER_UNIT * _dp_work(spec) * moduli
+    )
 
 
 def _closed_form(spec: BallSpec) -> int:
     return 1 if spec.r == 0 else math.factorial(spec.n)
 
 
-# name -> (admits the spec within its capacity, counts it), cheapest first.
+# name -> (predicted seconds for the spec, counts it).
 _BACKENDS = {
-    BACKEND_CLOSED: (lambda spec: spec.r in (0, spec.n - 1), _closed_form),
-    BACKEND_DP: (lambda spec: _dp_work(spec) <= EXACT_MAX_WORK, ball_size_band_dp),
+    BACKEND_CLOSED: (
+        lambda spec: 0.0 if spec.r in (0, spec.n - 1) else math.inf,
+        _closed_form,
+    ),
+    BACKEND_DP: (_dp_seconds, ball_size_band_dp),
+    BACKEND_MODULAR: (_modular_seconds, ball_size_modular_dp),
     BACKEND_RYSER: (
-        lambda spec: _ryser_work(spec.n) <= EXACT_MAX_WORK,
+        lambda spec: _ryser_seconds(spec.n),
         lambda spec: permanent_ryser(list(BandMatrix(spec).rows())),
     ),
-    BACKEND_ENUMERATE: (lambda spec: spec.n <= ENUMERATE_MAX_N, ball_size_enumerate),
+    BACKEND_ENUMERATE: (lambda spec: _enumerate_seconds(spec.n), ball_size_enumerate),
 }
 
 
 def applicable_backends(spec: BallSpec) -> list[str]:
-    """Backends whose capacity limits admit this spec, cheapest first."""
-    return [name for name, (admits, _) in _BACKENDS.items() if admits(spec)]
+    """Backends predicted to count this spec within EXACT_MAX_SECONDS,
+    fastest first."""
+    seconds = {name: predict(spec) for name, (predict, _) in _BACKENDS.items()}
+    admitted = [name for name in _BACKENDS if seconds[name] <= EXACT_MAX_SECONDS]
+    return sorted(admitted, key=seconds.__getitem__)
 
 
 def ball_size_exact_detailed(
@@ -194,9 +341,10 @@ def ball_size_exact_detailed(
 ) -> ExactResult:
     """Exact |B_{r,n}| with the backend that produced it.
 
-    Normal mode returns the cached count, or runs the cheapest applicable
-    backend.  Verification mode runs every applicable backend and the
-    cache record, and raises VerificationError on any disagreement.
+    Normal mode returns the cached count, or runs the applicable backend
+    predicted to be fastest.  Verification mode runs every applicable
+    backend and the cache record, and raises VerificationError on any
+    disagreement.
     ``backends`` restricts the candidates (``()`` reads only the cache).
     """
     if backends is not None:
@@ -214,7 +362,7 @@ def ball_size_exact_detailed(
     if not candidates:
         raise CapacityError(
             f"no exact backend can handle n={spec.n}, r={spec.r} "
-            f"within the work budget of {EXACT_MAX_WORK} units"
+            f"within the work budget of {EXACT_MAX_SECONDS:g} s"
         )
     run = candidates if verify else candidates[:1]
     results = {b: _BACKENDS[b][1](spec) for b in run}

@@ -57,6 +57,13 @@ class TestExact:
         )
         assert code == 0 and out.strip() == "31"
 
+    def test_rho_names_an_admissible_n_above_one(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "exact", "--n", "3", "--rho", "1/10", "--cache-dir", str(tmp_path)
+        )
+        assert code == 1
+        assert "nearest admissible n is 11" in err
+
     def test_requires_exactly_one_radius_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "exact", "--n", "5", "--cache-dir", str(tmp_path))
         assert code == 1 and "exactly one" in err
@@ -322,6 +329,11 @@ class TestFigures:
         assert code == 0
         assert not (tmp_path / "f.png").exists()
 
+    def test_out_naming_a_directory_exits_one(self, capsys, tmp_path):
+        code, _, err = run(capsys, "figures", "fig1", "--out", str(tmp_path), "--no-plot")
+        assert code == 1
+        assert "is a directory" in err
+
     def test_long_formats_match_documented_schemas(self, capsys, tmp_path):
         from permball.tables import parse_gap_long_csv, parse_rate_csv
 
@@ -383,6 +395,13 @@ class TestQmatrixCommand:
         body = data_section(out).splitlines()
         assert body[0] == "i,j,value"
         assert len(body) == 1 + 14
+
+    def test_out_naming_a_directory_exits_one(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "qmatrix", "--n", "4", "--r", "1", "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert "is a directory" in err
 
 
 class TestVerifyCommand:

@@ -98,6 +98,10 @@ def test_radius_from_rho():
         radius_from_rho(Fraction(1, 2), 6)
     with pytest.raises(ValidationError, match="nearest admissible n"):
         radius_from_rho(Fraction(1, 3), 5)
+    # Below the first multiple of the denominator, the answer is n = q + 1,
+    # not the one-symbol space n = 1.
+    with pytest.raises(ValidationError, match="nearest admissible n is 11$"):
+        radius_from_rho(Fraction(1, 10), 3)
 
 
 def test_normalized_radius_parsing():

@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
+from permball import oracle
 from permball.core import BallSpec, BandMatrix
 from permball.errors import (
     CapacityError,
@@ -19,6 +24,7 @@ from permball.oracle import (
     ball_size_enumerate,
     ball_size_exact,
     ball_size_exact_detailed,
+    ball_size_modular_dp,
     permanent_ryser,
 )
 
@@ -107,6 +113,87 @@ class TestBandDP:
             ball_size_band_dp(BallSpec(100, 13))
 
 
+class TestModularDP:
+    def test_r1_is_fibonacci_up_to_300(self):
+        for n in range(2, 301):
+            assert ball_size_modular_dp(BallSpec(n, 1)) == fibonacci(n + 1), n
+
+    def test_r2_follows_its_linear_recurrence_up_to_200(self):
+        a = [None] + [
+            ball_size_modular_dp(BallSpec(n, min(2, n - 1))) for n in range(1, 201)
+        ]
+        for n in range(6, 201):
+            assert a[n] == 2 * a[n - 1] + 2 * a[n - 3] - a[n - 5]
+
+    def test_pinned_count_at_n64_r3(self):
+        assert ball_size_modular_dp(BallSpec(64, 3)) == 3432242028000180842764778779397
+
+    def test_equals_the_dict_dp_on_every_small_cell(self, monkeypatch):
+        # The work model overestimates where 2r+1 nears n, so the budget
+        # refuses some of these cells that take milliseconds.
+        monkeypatch.setattr(oracle, "EXACT_MAX_SECONDS", math.inf)
+        for n in range(1, 17):
+            for r in range(n):
+                spec = BallSpec(n, r)
+                assert ball_size_modular_dp(spec) == ball_size_band_dp(spec), (n, r)
+
+    @pytest.mark.parametrize("n, r", [(40, 8), (30, 9)])
+    def test_equals_the_dict_dp_on_wide_windows(self, n, r):
+        spec = BallSpec(n, r)
+        assert ball_size_modular_dp(spec) == ball_size_band_dp(
+            spec, override_capacity=True
+        )
+
+    @pytest.mark.parametrize("spec", [BallSpec(100, 5), BallSpec(7, 6), BallSpec(1, 0)])
+    def test_moduli_cover_the_degree_product(self, spec):
+        bound = oracle._degree_product(spec)
+        moduli = oracle._moduli(bound)
+        assert math.prod(moduli) > bound >= ball_size_modular_dp(spec)
+        assert math.prod(moduli[:-1]) <= bound
+        assert all(0 < m < 1 << oracle.RESIDUE_BITS for m in moduli)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+
+    @pytest.mark.parametrize("n, r", [(60, 6), (12, 2), (9, 4), (6, 3)])
+    def test_builds_the_bulk_map_once_per_call(self, monkeypatch, n, r):
+        built = []
+        real = oracle._modular_column
+
+        def counting(states, n, r, j):
+            built.append(j)
+            return real(states, n, r, j)
+
+        monkeypatch.setattr(oracle, "_modular_column", counting)
+        ball_size_modular_dp(BallSpec(n, r))
+        bulk = range(r + 1, n - r)
+        assert built == [j for j in range(1, n + 1) if j not in bulk[1:]]
+
+    def test_bulk_state_set_is_closed(self):
+        # Every r-subset of the lower 2r window bits, mapped onto itself.
+        n, r = 30, 4
+        states = np.array([(1 << r) - 1], dtype=np.uint64)
+        for j in range(1, r + 1):
+            states, _ = oracle._modular_column(states, n, r, j)
+        subsets = sorted(
+            sum(1 << b for b in bits) for bits in itertools.combinations(range(2 * r), r)
+        )
+        assert states.tolist() == subsets
+        assert oracle._modular_column(states, n, r, r + 1)[0].tolist() == subsets
+
+    def test_imports_no_masked_arrays(self):
+        script = (
+            "import sys; from permball.core import BallSpec; "
+            "from permball.oracle import ball_size_modular_dp; "
+            "ball_size_modular_dp(BallSpec(30, 5)); "
+            "assert 'numpy.ma' not in sys.modules"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError, match="work budget"):
+            ball_size_modular_dp(BallSpec(100, 10))
+
+
 class TestBackendAgreement:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_backends_all_radii(self, n):
@@ -166,10 +253,10 @@ class TestDispatch:
     def test_verification_mode_runs_everything(self):
         result = ball_size_exact_detailed(BallSpec(3, 1), verify=True)
         assert result.value == 3
-        assert result.backend == "band-dp+enumerate+ryser"
+        assert result.backend == "band-dp+enumerate+modular-dp+ryser"
         result = ball_size_exact_detailed(BallSpec(6, 5), verify=True)
         assert result.value == 720
-        assert result.backend == "band-dp+closed-form+enumerate+ryser"
+        assert result.backend == "band-dp+closed-form+enumerate+modular-dp+ryser"
 
     def test_backend_restriction(self, tmp_path):
         from permball.cache import ResultCache
@@ -212,14 +299,15 @@ class TestDispatch:
         assert len(problems) == 1 and "n5_r2.json holds n=6, r=2" in problems[0]
 
 
-def fixed_cap_first_backend(spec):
-    """The cheapest backend under the earlier fixed caps (2r+1 <= 26 for
-    the DP, n <= 30 for Ryser)."""
+def expected_first_backend(spec):
+    """The fastest backend on the benchmark cells: the closed forms at the
+    boundaries, the dict DP up to r = 3, the residue DP for wider windows,
+    and Ryser where 2r+1 nears n (n = 15..17, r >= 13)."""
     if spec.r in (0, spec.n - 1):
         return "closed-form"
-    if 2 * spec.r + 1 <= 26:
-        return "band-dp"
-    return "ryser" if spec.n <= 30 else None
+    if spec.r >= 13:
+        return "ryser"
+    return "band-dp" if spec.r <= 3 else "modular-dp"
 
 
 def benchmark_exact_cells():
@@ -233,7 +321,7 @@ def benchmark_exact_cells():
 
 
 class TestWorkBudget:
-    @pytest.mark.parametrize("n, r", [(30, 12), (22, 13)])
+    @pytest.mark.parametrize("n, r", [(100, 10), (30, 12), (22, 13)])
     def test_refuses_cells_over_budget_at_once(self, n, r):
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="work budget"):
@@ -243,7 +331,17 @@ class TestWorkBudget:
     def test_keeps_the_first_backend_on_benchmark_cells(self):
         for n, r in sorted(benchmark_exact_cells()):
             spec = BallSpec(n, r)
-            assert applicable_backends(spec)[0] == fixed_cap_first_backend(spec), (n, r)
+            assert applicable_backends(spec)[0] == expected_first_backend(spec), (n, r)
+
+    def test_admits_the_wide_windows_at_n100(self):
+        assert applicable_backends(BallSpec(100, 9)) == ["modular-dp"]
+        # Pinned from ball_size_band_dp(override_capacity=True), 4 s.
+        result = ball_size_exact_detailed(BallSpec(100, 8))
+        assert result.backend == "modular-dp"
+        assert result.value == int(
+            "97727225401936926746149796121773313671126300813104862172692569253"
+            "7513205495880292"
+        )
 
     def test_small_cells_move_to_ryser_with_the_same_count(self):
         # The DP's work model overestimates where 2r+1 nears n.

@@ -1,8 +1,8 @@
 """Property tests for the single definitions: the three radius ranges on
 ``BallSpec``, the domains that follow them, the figure grid, the sweep
 JSON against its CSV, the band-cell matrices against dense references,
-the exact counting backends against each other, the rho round trip, and
-the cache's keyed records.
+the exact counting backends against each other, the bounds around the
+exact count, the rho round trip, and the cache's keyed records.
 
 Hypothesis runs derandomized and without an example database, so the
 suite stays deterministic and writes no ``.hypothesis/`` directory.
@@ -23,12 +23,24 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from permball.asym import GRID_MIN_STEP, step_grid
-from permball.bounds import ALL_FAMILIES, bethe_bound, finite_bound, vdw_sinkhorn_bound
+from permball.bounds import (
+    ALL_FAMILIES,
+    LOWER_FAMILIES,
+    bethe_bound,
+    finite_bound,
+    vdw_sinkhorn_bound,
+)
 from permball.cache import ResultCache
 from permball.cli import main
 from permball.core import BallSpec, BandMatrix, parse_rho, radius_from_rho
 from permball.errors import DomainError, ValidationError
-from permball.oracle import applicable_backends, ball_size_exact_detailed
+from permball.oracle import (
+    applicable_backends,
+    ball_size_band_dp,
+    ball_size_exact,
+    ball_size_exact_detailed,
+    ball_size_modular_dp,
+)
 from permball.qmat import q_first_class, q_second_high, q_second_low, sinkhorn_balance
 from permball.scalar import log2_factorial
 from permball.tables import (
@@ -46,9 +58,10 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "permball-hypothesis")
 
 
 @st.composite
-def specs(draw, max_n=40):
+def specs(draw, max_n=40, max_r=None):
     n = draw(st.integers(1, max_n))
-    return BallSpec(n, draw(st.integers(0, n - 1)))
+    r_top = n - 1 if max_r is None else min(max_r, n - 1)
+    return BallSpec(n, draw(st.integers(0, r_top)))
 
 
 @PROPERTY_SETTINGS
@@ -167,6 +180,26 @@ def test_every_applicable_backend_gives_the_same_count(spec):
     assert 1 <= result.value <= math.factorial(spec.n)
 
 
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(specs(max_n=60, max_r=6))
+def test_residue_dp_equals_the_dict_dp(spec):
+    assert ball_size_modular_dp(spec) == ball_size_band_dp(spec)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(specs(max_n=9))
+def test_valid_bounds_sandwich_the_exact_count(spec):
+    exact_bits = math.log2(ball_size_exact(spec))
+    assert exact_bits <= finite_bound("Phi1", spec).bits + 1e-9
+    for family in LOWER_FAMILIES:
+        bound = finite_bound(family, spec)
+        if bound.valid:
+            assert bound.bits <= exact_bits + 1e-9, family
+    phi1_prime = finite_bound("phi1_prime", spec)
+    if phi1_prime.valid:
+        assert phi1_prime.bits < exact_bits
+
+
 @PROPERTY_SETTINGS
 @given(specs(max_n=60))
 def test_rho_text_round_trips_to_the_same_spec(spec):
@@ -180,7 +213,7 @@ def test_nearest_admissible_n_is_another_n_that_is_accepted(n, rho):
     with pytest.raises(ValidationError, match="nearest admissible n") as info:
         radius_from_rho(rho, n)
     nearest = int(re.search(r"nearest admissible n is (\d+)", str(info.value))[1])
-    assert nearest != n
+    assert nearest != n and nearest >= 2
     assert radius_from_rho(rho, nearest).r == rho * (nearest - 1)
 
 
