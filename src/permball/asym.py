@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bounds import finite_bound
 from .core import BallSpec
@@ -171,15 +171,12 @@ def step_grid(step: float, first: int = 1) -> list[float]:
 
 
 def gap_curve_table(
-    pairs: Sequence[str] = GAP_PAIRS,
-    rho_grid: Iterable[float] | None = None,
-    step: float = 0.01,
+    pairs: Sequence[str] = GAP_PAIRS, step: float = 0.01
 ) -> list[GapCurvePoint]:
-    """Dense gap table over a rho grid; out-of-range points are skipped."""
-    if rho_grid is None:
-        rho_grid = step_grid(step)
+    """Dense gap table over ``step_grid(step)``; out-of-range points are
+    skipped."""
     points = []
-    grid = list(rho_grid)
+    grid = step_grid(step)
     for pair in pairs:
         if pair not in GAP_PAIRS:
             raise ValidationError(f"unknown gap pair {pair!r}")

@@ -24,11 +24,10 @@ from .errors import CapacityError, DimensionError, VerificationError
 if TYPE_CHECKING:
     from .cache import ResultCache
 
-# One documented capacity limit: a backend is used only where its
-# predicted run time is at most EXACT_MAX_SECONDS, and the dispatcher
-# prefers the one predicted fastest.  The dispatcher always applies the
-# limit; the Python-integer backends accept override_capacity=True for
-# direct expert calls.  Each prediction is a least-squares fit (in
+# One documented capacity limit: the dispatcher uses a backend only where
+# its predicted run time is at most EXACT_MAX_SECONDS, and prefers the one
+# predicted fastest.  The backends themselves count whatever they are
+# given.  Each prediction is a least-squares fit (in
 # relative error) of run times measured on a 2-vCPU Intel Xeon host, in
 # work units: one unit is one inner-loop step, n! * n for enumeration,
 # 2^n * n for Ryser and at most n * C(2r, r) * (2r+1) for either band DP.
@@ -47,8 +46,7 @@ MODULAR_S_PER_UNIT = 3.3e-9
 
 # Residues stay below 2^56, so the at most 2r+1 of them added into one
 # count before the next reduction fit in int64 for every r <= 63; the
-# budget admits nothing near that, and the uint64 state masks (2r+1 bits)
-# end at r = 31.
+# uint64 state masks (2r+1 bits) end first, at r = 31.
 RESIDUE_BITS = 56
 
 BACKEND_CLOSED = "closed-form"
@@ -64,13 +62,8 @@ class ExactResult:
     backend: str
 
 
-def ball_size_enumerate(spec: BallSpec, *, override_capacity: bool = False) -> int:
+def ball_size_enumerate(spec: BallSpec) -> int:
     """Count permutations within distance r of the identity by generation."""
-    if _enumerate_seconds(spec.n) > EXACT_MAX_SECONDS and not override_capacity:
-        raise CapacityError(
-            f"enumeration at n={spec.n} exceeds the work budget of "
-            f"{EXACT_MAX_SECONDS:g} s (n! blowup); use the band DP instead"
-        )
     n, r = spec.n, spec.r
     count = 0
     for p in itertools.permutations(range(1, n + 1)):
@@ -79,9 +72,7 @@ def ball_size_enumerate(spec: BallSpec, *, override_capacity: bool = False) -> i
     return count
 
 
-def permanent_ryser(
-    m: Sequence[Sequence[int]] | np.ndarray, *, override_capacity: bool = False
-) -> int:
+def permanent_ryser(m: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact permanent of a non-negative integer matrix by Ryser's formula.
 
     Gray-code iteration over column subsets keeps the work at O(2^n * n)
@@ -101,14 +92,10 @@ def permanent_ryser(
         raise DimensionError("permanent requires a square matrix")
     if any(x < 0 for row in rows for x in row):
         raise DimensionError("permanent backend requires non-negative entries")
-    if _ryser_seconds(n) > EXACT_MAX_SECONDS and not override_capacity:
-        raise CapacityError(
-            f"Ryser at n={n} exceeds the work budget of {EXACT_MAX_SECONDS:g} s"
-        )
     if n == 0:
         return 1
     cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    row_sums = [0] * n
+    sums = [0] * n
     total = 0
     prev_gray = 0
     for k in range(1, 1 << n):
@@ -119,12 +106,12 @@ def permanent_ryser(
         col = cols[j]
         if gray & changed:
             for i in range(n):
-                row_sums[i] += col[i]
+                sums[i] += col[i]
         else:
             for i in range(n):
-                row_sums[i] -= col[i]
+                sums[i] -= col[i]
         prod = 1
-        for s in row_sums:
+        for s in sums:
             prod *= s
             if not prod:
                 break
@@ -136,7 +123,7 @@ def permanent_ryser(
     return total
 
 
-def ball_size_band_dp(spec: BallSpec, *, override_capacity: bool = False) -> int:
+def ball_size_band_dp(spec: BallSpec) -> int:
     """Permanent of the band matrix by a column sweep over the 2r+1 window.
 
     The state is the set of window rows already matched.  Rows outside
@@ -144,11 +131,6 @@ def ball_size_band_dp(spec: BallSpec, *, override_capacity: bool = False) -> int
     before the window slides past it, which is what makes the state finite.
     """
     n, r = spec.n, spec.r
-    if _dp_seconds(spec) > EXACT_MAX_SECONDS and not override_capacity:
-        raise CapacityError(
-            f"band DP at n={n}, r={r} exceeds the work budget of "
-            f"{EXACT_MAX_SECONDS:g} s; use Ryser for small n"
-        )
     width = 2 * r + 1
     top_bit = 1 << (width - 1)
     # Bit k of a state = row (j - r + k) is matched.
@@ -185,10 +167,10 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
     bounds the permanent, so the rebuilt integer is the exact count.
     """
     n, r = spec.n, spec.r
-    if _modular_seconds(spec) > EXACT_MAX_SECONDS:
+    if 2 * r + 1 > 64:
         raise CapacityError(
-            f"modular band DP at n={n}, r={r} exceeds the work budget of "
-            f"{EXACT_MAX_SECONDS:g} s"
+            f"modular band DP at r={r} needs {2 * r + 1}-bit state masks; "
+            "its uint64 masks hold 64 bits (r <= 31)"
         )
     moduli = _moduli(_degree_product(spec))
     divisors = np.array(moduli, dtype=np.int64)

@@ -30,10 +30,10 @@ def _line_sums(cells: Cells, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndar
     """Row and column sums of the cell values x, in x's dtype, so integer
     numerators sum exactly.  Each row's cells are one contiguous run."""
     rows, cols = cells
-    row_sums = np.add.reduceat(x, np.searchsorted(rows, np.arange(n)))
-    col_sums = np.zeros(n, dtype=x.dtype)
-    np.add.at(col_sums, cols, x)
-    return row_sums, col_sums
+    by_row = np.add.reduceat(x, np.searchsorted(rows, np.arange(n)))
+    by_col = np.zeros(n, dtype=x.dtype)
+    np.add.at(by_col, cols, x)
+    return by_row, by_col
 
 
 def _sum_deviation(cells: Cells, values: np.ndarray, n: int) -> float:
@@ -78,12 +78,6 @@ class StochasticMatrix:
     @property
     def is_exact(self) -> bool:
         return self.exact_numerators is not None
-
-    def row_sums(self) -> np.ndarray:
-        return _line_sums(self.cells, self.values, self.n)[0]
-
-    def col_sums(self) -> np.ndarray:
-        return _line_sums(self.cells, self.values, self.n)[1]
 
     def max_sum_deviation(self) -> float:
         return _sum_deviation(self.cells, self.values, self.n)
@@ -259,7 +253,6 @@ def _window_sums(spec: BallSpec) -> Callable[[np.ndarray], np.ndarray]:
 def sinkhorn_balance(
     m: np.ndarray | BandMatrix,
     tol: float = STOCHASTIC_TOL,
-    max_iter: int = SINKHORN_MAX_ITER,
 ) -> tuple[StochasticMatrix, ScalingVectors]:
     """Alternately normalize rows and columns until both sum to 1 +- tol.
 
@@ -270,7 +263,7 @@ def sinkhorn_balance(
     result holds only the band cells); a dense input is the band of radius
     n-1, zeros allowed.  At convergence the cell values are built and
     their row and column sums give the returned residual.  Raises
-    ConvergenceError carrying the residual if max_iter is exhausted.
+    ConvergenceError carrying the residual after SINKHORN_MAX_ITER iterations.
     """
     if isinstance(m, BandMatrix):
         spec, weights = m.spec, 1.0
@@ -292,7 +285,7 @@ def sinkhorn_balance(
     v = np.ones(spec.n)
     den_u = apply_u(v)
     residual = np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, SINKHORN_MAX_ITER + 1):
         u = 1.0 / den_u
         den_v = apply_v(u)
         v = 1.0 / den_v
@@ -308,8 +301,8 @@ def sinkhorn_balance(
             break
     else:
         raise ConvergenceError(
-            f"sinkhorn_balance did not reach tol={tol:g} in {max_iter} iterations "
-            f"(residual {residual:g})",
+            f"sinkhorn_balance did not reach tol={tol:g} in {SINKHORN_MAX_ITER} "
+            f"iterations (residual {residual:g})",
             residual=residual,
         )
     sm = StochasticMatrix(spec, values, residual=residual, cells=cells)

@@ -142,12 +142,10 @@ def _check_variant(variant: str) -> None:
 
 
 def rate_table(
-    kinds: Sequence[str] = KINDS,
-    grid: Iterable[float] | None = None,
-    mode: str = "asymptotic",
-    n: int | None = None,
+    kinds: Sequence[str] = KINDS, grid: Iterable[float] | None = None
 ) -> list[RatePoint]:
-    """Rate points for the requested kinds over a grid, sorted by (kind, x)."""
+    """Asymptotic rate points for the requested kinds over a grid, sorted
+    by (kind, x)."""
     points: list[RatePoint] = []
     for kind in kinds:
         if kind not in KINDS:
@@ -158,8 +156,8 @@ def rate_table(
             xs = DEFAULT_ECC_GRID if family == "ecc" else DEFAULT_COVER_GRID
         for x in xs:
             if family == "ecc":
-                points.append(ecc_rate_upper(x, variant, mode, n))
+                points.append(ecc_rate_upper(x, variant))
             else:
-                points.append(covering_rate_upper(x, variant, mode, n))
+                points.append(covering_rate_upper(x, variant))
     points.sort(key=lambda p: (p.kind, p.x))
     return points

@@ -161,7 +161,7 @@ def parse_gap_wide_csv(text: str, pairs: Sequence[str]) -> list[GapCurvePoint]:
 # -- rate tables --------------------------------------------------------
 
 
-def render_rate_csv(points: Iterable[RatePoint], comments: Sequence[str] = ()) -> str:
+def render_rate_csv(points: Iterable[RatePoint]) -> str:
     rows = [
         (
             p.kind,
@@ -172,7 +172,7 @@ def render_rate_csv(points: Iterable[RatePoint], comments: Sequence[str] = ()) -
         )
         for p in points
     ]
-    return render_csv(RATE_HEADER, rows, comments)
+    return render_csv(RATE_HEADER, rows)
 
 
 def parse_rate_csv(text: str) -> list[RatePoint]:
@@ -193,7 +193,6 @@ def parse_rate_wide_csv(
     columns: Sequence[str],
     x_name: str,
     unavailable: Sequence[str] = (),
-    mode: str = "asymptotic",
 ) -> list[RatePoint]:
     points = []
     for raw in read_csv(text, (x_name, *unavailable, *columns)):
@@ -201,7 +200,7 @@ def parse_rate_wide_csv(
         for kind in columns:
             value = _parse_float(raw[kind])
             if value is not None:
-                points.append(RatePoint(kind, x, value, mode))
+                points.append(RatePoint(kind, x, value, "asymptotic"))
     return points
 
 

@@ -160,10 +160,6 @@ class TestGapCurveTable:
         assert all(p.rho < 0.5 for p in points)
         assert len(points) == 49
 
-    def test_explicit_grid(self):
-        points = gap_curve_table(["phi1"], rho_grid=[0.25, 0.75])
-        assert [p.rho for p in points] == [0.25, 0.75]
-
 
 class TestConvergence:
     @pytest.mark.parametrize("family", ["phi1", "Phi1", "phi2", "phi3"])

@@ -2,7 +2,8 @@
 ``BallSpec``, the domains that follow them, the figure grid, the sweep
 JSON against its CSV, the band-cell matrices against dense references,
 the exact counting backends against each other, the bounds around the
-exact count, the rho round trip, and the cache's keyed records.
+exact count, the rho round trip, the cache's keyed records, and the
+round trip of every CSV schema.
 
 Hypothesis runs derandomized and without an example database, so the
 suite stays deterministic and writes no ``.hypothesis/`` directory.
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from permball.asym import GRID_MIN_STEP, step_grid
+from permball.asym import GAP_PAIRS, GRID_MIN_STEP, gap_curve_table, step_grid
 from permball.bounds import (
     ALL_FAMILIES,
     LOWER_FAMILIES,
@@ -31,7 +32,7 @@ from permball.bounds import (
     vdw_sinkhorn_bound,
 )
 from permball.cache import ResultCache
-from permball.cli import main
+from permball.cli import RATE_FIGURES, _sweep_cell, main
 from permball.core import BallSpec, BandMatrix, parse_rho, radius_from_rho
 from permball.errors import DomainError, ValidationError
 from permball.oracle import (
@@ -42,11 +43,25 @@ from permball.oracle import (
     ball_size_modular_dp,
 )
 from permball.qmat import q_first_class, q_second_high, q_second_low, sinkhorn_balance
+from permball.rates import rate_table
 from permball.scalar import log2_factorial
 from permball.tables import (
+    parse_gap_long_csv,
+    parse_gap_wide_csv,
+    parse_matrix_dense_csv,
     parse_matrix_triplets_csv,
+    parse_rate_csv,
+    parse_rate_wide_csv,
     parse_sweep_csv,
+    render_gap_long_csv,
+    render_gap_wide_csv,
+    render_matrix_dense_csv,
     render_matrix_triplets_csv,
+    render_rate_csv,
+    render_rate_wide_csv,
+    render_sweep_csv,
+    sweep_json_row,
+    sweep_row,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -138,6 +153,16 @@ def test_sweep_json_rows_equal_parsed_csv_rows(n_values, families):
         assert row == expected
 
 
+def q_matrices(spec):
+    """Every qmatrix family valid at spec, as the CLI builds them."""
+    qs = [q_first_class(spec), sinkhorn_balance(BandMatrix(spec), tol=1e-10)[0]]
+    if spec.second_low_range:
+        qs.append(q_second_low(spec))
+    if spec.second_high_range:
+        qs.append(q_second_high(spec))
+    return qs
+
+
 @PROPERTY_SETTINGS
 @given(specs())
 def test_band_cell_matrices_match_dense_references(spec):
@@ -145,12 +170,7 @@ def test_band_cell_matrices_match_dense_references(spec):
     idx = np.arange(n)
     band = np.abs(idx[:, None] - idx[None, :]) <= r
     weights = band.astype(float)
-    qs = [q_first_class(spec), sinkhorn_balance(BandMatrix(spec), tol=1e-10)[0]]
-    if spec.second_low_range:
-        qs.append(q_second_low(spec))
-    if spec.second_high_range:
-        qs.append(q_second_high(spec))
-    for q in qs:
+    for q in q_matrices(spec):
         dense = q.entries
         assert ((dense > 0) == band).all()
         assert np.abs(dense.sum(axis=1) - 1.0).max() <= 1e-9
@@ -228,3 +248,59 @@ def test_cache_round_trips_and_refuses_a_record_under_another_key(spec, count, o
         shutil.copy(cache.path_for(spec), cache.path_for(other))
         with pytest.raises(ValidationError, match="which its file name does not"):
             cache.get(other)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(specs(max_n=9))
+def test_sweep_rows_round_trip_as_csv_and_json(spec):
+    pairs = _sweep_cell(ALL_FAMILIES, None, spec.n, spec.r)
+    parsed = parse_sweep_csv(render_sweep_csv([sweep_row(*pair) for pair in pairs]))
+    loaded = json.loads(json.dumps([sweep_json_row(*pair) for pair in pairs]))
+    assert len(parsed) == len(loaded) == len(ALL_FAMILIES)
+    for (bv, exact), csv_row, json_row in zip(pairs, parsed, loaded):
+        bits = None if math.isnan(bv.bits) else bv.bits
+        expected = {"family": bv.family, "direction": bv.direction}
+        expected.update(bits=bits, valid=bv.valid)
+        assert csv_row == {**expected, "spec": spec, "exact_count": exact}
+        count = None if exact is None else str(exact)
+        assert json_row == {**expected, "n": spec.n, "r": spec.r, "exact_count": count}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(specs(max_n=9))
+def test_qmatrix_round_trips_dense_and_triplets(spec):
+    for q in q_matrices(spec):
+        # Exact matrices export fractions; float cells parse back exactly.
+        value = Fraction if q.is_exact else float
+        if q.is_exact:
+            numerators = np.zeros((spec.n, spec.n), dtype=np.int64)
+            numerators[q.cells] = q.exact_numerators
+            d = q.exact_denominator
+            grid = [[Fraction(int(x), d) for x in row] for row in numerators]
+        else:
+            grid = q.entries.tolist()
+        dense = parse_matrix_dense_csv(render_matrix_dense_csv(q))
+        assert [[value(x) for x in row] for row in dense] == grid
+        triplets = parse_matrix_triplets_csv(render_matrix_triplets_csv(q))
+        assert [(i - 1, j - 1, value(text)) for i, j, text in triplets] == [
+            (i, j, grid[i][j]) for i, j in zip(*q.cells) if grid[i][j] > 0
+        ]
+
+
+# Down to 1e-3 (about 1,000 points per curve): the whole accepted range
+# reaches 10^5 points per curve, seconds per example.
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(st.floats(min_value=1e-3, max_value=0.5))
+def test_gap_and_rate_tables_round_trip_long_and_wide(step):
+    by_pair = lambda p: (p.pair, p.rho)
+    points = gap_curve_table(GAP_PAIRS, step=step)
+    assert parse_gap_long_csv(render_gap_long_csv(points)) == points
+    wide = parse_gap_wide_csv(render_gap_wide_csv(points, GAP_PAIRS), GAP_PAIRS)
+    assert sorted(wide, key=by_pair) == sorted(points, key=by_pair)
+    by_kind = lambda p: (p.kind, p.x)
+    for kinds, x_name, unavailable, *_, first in RATE_FIGURES.values():
+        points = rate_table(kinds, step_grid(step, first))
+        assert parse_rate_csv(render_rate_csv(points)) == points
+        text = render_rate_wide_csv(points, kinds, x_name, unavailable=(unavailable,))
+        wide = parse_rate_wide_csv(text, kinds, x_name, unavailable=(unavailable,))
+        assert sorted(wide, key=by_kind) == sorted(points, key=by_kind)

@@ -61,14 +61,14 @@ def test_sweep_header_enforced():
 
 
 def test_gap_long_round_trip():
-    points = gap_curve_table(["phi2", "phi3"], rho_grid=[0.2, 0.4, 0.6])
+    points = gap_curve_table(["phi2", "phi3"], step=0.2)
     text = render_gap_long_csv(points)
     parsed = parse_gap_long_csv(text)
     assert parsed == points
 
 
 def test_gap_wide_round_trip_with_blanks():
-    points = gap_curve_table(GAP_PAIRS, rho_grid=[0.25, 0.75])
+    points = gap_curve_table(GAP_PAIRS, step=0.25)
     text = render_gap_wide_csv(points, GAP_PAIRS, comments=("wide",))
     parsed = parse_gap_wide_csv(text, GAP_PAIRS)
     assert sorted(parsed, key=lambda p: (p.pair, p.rho)) == sorted(
@@ -81,7 +81,7 @@ def test_gap_wide_round_trip_with_blanks():
 
 def test_rate_round_trip():
     points = rate_table(("ecc_old", "cover_new"), grid=(0.25, 0.5))
-    text = render_rate_csv(points, comments=("rates",))
+    text = render_rate_csv(points)
     assert parse_rate_csv(text) == points
 
 
