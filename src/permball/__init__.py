@@ -22,7 +22,6 @@ from .errors import (
     DimensionError,
     DomainError,
     PermballError,
-    SupportError,
     ValidationError,
     VerificationError,
 )
@@ -30,7 +29,7 @@ from .oracle import (
     ball_size_band_dp,
     ball_size_enumerate,
     ball_size_exact,
-    permanent_ryser,
+    ball_size_ryser,
 )
 from .qmat import (
     ScalingVectors,
@@ -62,9 +61,9 @@ __all__ = [
     "BallSpec", "BandMatrix", "parse_rho", "radius_from_rho",
     # errors
     "CapacityError", "ConvergenceError", "DimensionError", "DomainError",
-    "PermballError", "SupportError", "ValidationError", "VerificationError",
+    "PermballError", "ValidationError", "VerificationError",
     # oracle
-    "ball_size_band_dp", "ball_size_enumerate", "ball_size_exact", "permanent_ryser",
+    "ball_size_band_dp", "ball_size_enumerate", "ball_size_exact", "ball_size_ryser",
     # qmat
     "ScalingVectors", "StochasticMatrix", "q_first_class", "q_second_high",
     "q_second_low", "sinkhorn_balance",

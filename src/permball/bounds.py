@@ -1,7 +1,7 @@
 """Finite-n bound evaluators for the ball size, all in log2 domain.
 
 Five closed families (phi1, Phi1, phi1_prime, phi2, phi3) plus the two
-generic functionals that take an explicit doubly-stochastic matrix: the
+generic functionals of a doubly-stochastic matrix on the band: the
 Van der Waerden / Sinkhorn lower bound and the Bethe-permanent lower
 bound.  Out-of-range requests yield inert invalid values rather than
 exceptions so that sweeps can tabulate coverage.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BallSpec, BandMatrix
-from .errors import DimensionError, DomainError, SupportError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError
 from .qmat import StochasticMatrix
 from .scalar import (
     LOG2E,
@@ -56,56 +56,35 @@ class BoundValue:
 
 
 def _relative_entropy_terms(
-    m: np.ndarray | BandMatrix, q: StochasticMatrix
+    band: BandMatrix, q: StochasticMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
-    """q's positive values and their terms -q*log2(q/m), read at q's cells
-    once m is known to be a non-negative matrix of q's size that is
-    positive wherever q is."""
-    if isinstance(m, BandMatrix):
-        size = m.n
-    else:
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError("bound functional requires a square matrix")
-        if (m < 0).any():
-            raise DomainError("bound functional requires non-negative entries")
-        size = m.shape[0]
-    if size != q.n:
-        raise DimensionError(f"matrix size {size} differs from Q size {q.n}")
+    """q's positive values and their terms -q*log2(q).  Q must be stored
+    on ``band``'s spec, so its cells are the band's, where the band is 1."""
+    if band.spec != q.spec:
+        raise DimensionError(
+            f"Q on the band of n={q.spec.n}, r={q.spec.r} does not match "
+            f"the band of n={band.spec.n}, r={band.spec.r}"
+        )
     positive = q.values > 0
     qv = q.values if positive.all() else q.values[positive]
-    if isinstance(m, BandMatrix) and m.spec.r >= q.spec.r:
-        return qv, -qv * np.log2(qv)  # q's band lies in m's, where m is 1
-    rows, cols = q.cells
-    if isinstance(m, BandMatrix):
-        at_cells = (np.abs(rows - cols) <= m.spec.r).astype(float)
-    else:
-        at_cells = m[rows, cols]
-    bad = positive & (at_cells == 0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SupportError(
-            f"Q is positive at cell ({rows[k] + 1},{cols[k] + 1}) "
-            "where the matrix is zero"
-        )
-    return qv, -qv * np.log2(qv / at_cells[positive])
+    return qv, -qv * np.log2(qv)
 
 
-def vdw_sinkhorn_bound(m: np.ndarray | BandMatrix, q: StochasticMatrix) -> float:
-    """Lower bound on log2 per(m): log2(n!/n^n) + sum(-q*log2(q/m)).
+def vdw_sinkhorn_bound(band: BandMatrix, q: StochasticMatrix) -> float:
+    """Lower bound on log2 per(band): log2(n!/n^n) + sum(-q*log2(q)).
 
-    Requires support(q) contained in support(m); cells with q = 0
-    contribute nothing (the 0*log2(0/0) = 0 convention).
+    Q must be stored on the band's own spec; cells with q = 0 contribute
+    nothing (the 0*log2(0) = 0 convention).
     """
-    _, h = _relative_entropy_terms(m, q)
+    _, h = _relative_entropy_terms(band, q)
     n = q.n
     return log2_factorial(n) - n * math.log2(n) + float(np.sum(h))
 
 
-def bethe_bound(m: np.ndarray | BandMatrix, q: StochasticMatrix) -> float:
-    """Lower bound on log2 per(m) through the Bethe permanent:
-    sum over support of [-q*log2(q/m) + (1-q)*log2(1-q)]."""
-    qv, h = _relative_entropy_terms(m, q)
+def bethe_bound(band: BandMatrix, q: StochasticMatrix) -> float:
+    """Lower bound on log2 per(band) through the Bethe permanent:
+    sum over support of [-q*log2(q) + (1-q)*log2(1-q)]."""
+    qv, h = _relative_entropy_terms(band, q)
     one_minus = 1.0 - qv
     extra = np.zeros_like(qv)
     positive = one_minus > 0

@@ -425,6 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact counts are printed and cached as decimals of any length (2000!
+    # has 5,736 digits); sweep workers fork and inherit this.
+    sys.set_int_max_str_digits(0)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -70,8 +69,7 @@ class BandMatrix:
     """Implicit n x n band matrix with ones exactly on |i-j| <= r.
 
     Entries are computed, never stored.  Numeric consumers work on the
-    O(n r) cell list from ``cells``; only the exact-arithmetic Ryser
-    backend reads dense rows.
+    O(n r) cell list from ``cells`` or on each row's window |i-j| <= r.
     """
 
     spec: BallSpec
@@ -91,11 +89,6 @@ class BandMatrix:
         starts = np.cumsum(counts) - counts
         cols = np.arange(rows.size) + np.repeat(lo - starts, counts)
         return rows, cols
-
-    def rows(self) -> Iterator[list[int]]:
-        """Row-by-row dense integer view, for exact-arithmetic consumers."""
-        for i in range(1, self.n + 1):
-            yield [int(abs(i - j) <= self.spec.r) for j in range(1, self.n + 1)]
 
 
 def parse_rho(text: str) -> Fraction:

@@ -31,9 +31,5 @@ class ConvergenceError(PermballError):
         self.residual = residual
 
 
-class SupportError(PermballError):
-    """A matrix pair violates the required support containment."""
-
-
 class VerificationError(PermballError):
     """A self-check failed: backend disagreement or a poisoned cache entry."""

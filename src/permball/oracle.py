@@ -3,7 +3,7 @@
 Five routes to the same integer: closed forms at the r = 0 and r = n-1
 boundaries, a column-sweep transfer DP over the band window in Python
 integers, the same DP in numpy residues modulo several coprime moduli,
-Ryser's inclusion-exclusion permanent on the dense band matrix, and
+Ryser's inclusion-exclusion permanent over the band's column windows, and
 brute-force enumeration of S_n.  ``ball_size_exact`` dispatches to the
 backend predicted to be fastest, or runs all of them and insists they
 agree.
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import BallSpec, BandMatrix
+from .core import BallSpec
 from .errors import CapacityError, DimensionError, VerificationError
 
 if TYPE_CHECKING:
@@ -35,9 +35,8 @@ EXACT_MAX_SECONDS = 3.0
 DP_S_PER_UNIT = 2.0e-7
 RYSER_S_PER_UNIT = 1.7e-7
 ENUMERATE_S_PER_UNIT = 2.1e-7
-# Ryser and enumeration also pay about 30 us per call to set up the dense
-# rows or the permutation iterator; it keeps cells with n <= 5 on the
-# Python-integer band DP.
+# Ryser and enumeration also pay a fixed cost of about 30 us per call; it
+# keeps cells with n <= 5 on the Python-integer band DP.
 SETUP_S = 3.0e-5
 # The residue DP pays one set of numpy calls per column and row choice,
 # plus its units times the number of moduli.
@@ -72,29 +71,15 @@ def ball_size_enumerate(spec: BallSpec) -> int:
     return count
 
 
-def permanent_ryser(m: Sequence[Sequence[int]] | np.ndarray) -> int:
-    """Exact permanent of a non-negative integer matrix by Ryser's formula.
+def ball_size_ryser(spec: BallSpec) -> int:
+    """Permanent of the band matrix by Ryser's inclusion-exclusion formula.
 
     Gray-code iteration over column subsets keeps the work at O(2^n * n)
-    arbitrary-precision operations.
+    arbitrary-precision operations.  Adding or dropping column j moves
+    the row sums by 1 over its window of rows |i-j| <= r.
     """
-    rows = []
-    for row in m:
-        converted = []
-        for x in row:
-            value = int(x)
-            if value != x:
-                raise DimensionError(f"non-integer entry {x!r} in permanent input")
-            converted.append(value)
-        rows.append(converted)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise DimensionError("permanent requires a square matrix")
-    if any(x < 0 for row in rows for x in row):
-        raise DimensionError("permanent backend requires non-negative entries")
-    if n == 0:
-        return 1
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
+    n, r = spec.n, spec.r
+    windows = [range(max(0, j - r), min(n, j + r + 1)) for j in range(n)]
     sums = [0] * n
     total = 0
     prev_gray = 0
@@ -102,14 +87,13 @@ def permanent_ryser(m: Sequence[Sequence[int]] | np.ndarray) -> int:
         gray = k ^ (k >> 1)
         changed = gray ^ prev_gray
         prev_gray = gray
-        j = changed.bit_length() - 1
-        col = cols[j]
+        window = windows[changed.bit_length() - 1]
         if gray & changed:
-            for i in range(n):
-                sums[i] += col[i]
+            for i in window:
+                sums[i] += 1
         else:
-            for i in range(n):
-                sums[i] -= col[i]
+            for i in window:
+                sums[i] -= 1
         prod = 1
         for s in sums:
             prod *= s
@@ -298,10 +282,7 @@ _BACKENDS = {
     ),
     BACKEND_DP: (_dp_seconds, ball_size_band_dp),
     BACKEND_MODULAR: (_modular_seconds, ball_size_modular_dp),
-    BACKEND_RYSER: (
-        lambda spec: _ryser_seconds(spec.n),
-        lambda spec: permanent_ryser(list(BandMatrix(spec).rows())),
-    ),
+    BACKEND_RYSER: (lambda spec: _ryser_seconds(spec.n), ball_size_ryser),
     BACKEND_ENUMERATE: (lambda spec: _enumerate_seconds(spec.n), ball_size_enumerate),
 }
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import BallSpec, BandMatrix
-from .errors import ConvergenceError, DimensionError, DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .scalar import alpha_high_root, alpha_low_root
 
 STOCHASTIC_TOL = 1e-9
@@ -251,51 +251,37 @@ def _window_sums(spec: BallSpec) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def sinkhorn_balance(
-    m: np.ndarray | BandMatrix,
-    tol: float = STOCHASTIC_TOL,
+    band: BandMatrix, tol: float = STOCHASTIC_TOL
 ) -> tuple[StochasticMatrix, ScalingVectors]:
     """Alternately normalize rows and columns until both sum to 1 +- tol.
 
     Returns the balanced matrix together with the accumulated diagonal
-    scales.  Requires a matrix with total support (every row and column
-    must carry positive mass); the band matrices qualify.  A ``BandMatrix``
-    stays implicit (each sweep is a pair of O(n) window sums, and the
-    result holds only the band cells); a dense input is the band of radius
-    n-1, zeros allowed.  At convergence the cell values are built and
-    their row and column sums give the returned residual.  Raises
-    ConvergenceError carrying the residual after SINKHORN_MAX_ITER iterations.
+    scales.  The band stays implicit: each sweep is a pair of O(n) window
+    sums, and the result holds only the band cells.  At convergence the
+    cell values are built and their row and column sums give the returned
+    residual.  Raises ConvergenceError carrying the residual after
+    SINKHORN_MAX_ITER iterations.
     """
-    if isinstance(m, BandMatrix):
-        spec, weights = m.spec, 1.0
-        apply_u = apply_v = _window_sums(m.spec)  # the band is symmetric
-    else:
-        a = np.asarray(m, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError("sinkhorn_balance requires a square matrix")
-        if (a < 0).any():
-            raise DomainError("sinkhorn_balance requires non-negative entries")
-        if (a.sum(axis=1) == 0).any() or (a.sum(axis=0) == 0).any():
-            raise DomainError("matrix has an empty row or column (no total support)")
-        spec, weights = BallSpec(a.shape[0], a.shape[0] - 1), a.ravel()
-        apply_u, apply_v = a.dot, a.T.dot
-    cells = BandMatrix(spec).cells()
+    spec = band.spec
+    cells = band.cells()
+    window_sums = _window_sums(spec)
     # u scales the rows and is normalized first in each iteration, v the
-    # columns; apply_u(v) gives the sums that u divides out, apply_v(u)
-    # those of v.
+    # columns.  The band is symmetric, so window_sums(v) gives the sums
+    # that u divides out and window_sums(u) those of v.
     v = np.ones(spec.n)
-    den_u = apply_u(v)
+    den_u = window_sums(v)
     residual = np.inf
     for iterations in range(1, SINKHORN_MAX_ITER + 1):
         u = 1.0 / den_u
-        den_v = apply_v(u)
+        den_v = window_sums(u)
         v = 1.0 / den_v
         # The row sums are u * den_u, with den_u the next iteration's
         # denominator; the column sums v * den_v are 1 by construction.
-        den_u = apply_u(v)
+        den_u = window_sums(v)
         residual = float(np.abs(u * den_u - 1.0).max())
         if residual > tol:
             continue
-        values = u[cells[0]] * weights * v[cells[1]]
+        values = u[cells[0]] * v[cells[1]]
         residual = _sum_deviation(cells, values, spec.n)
         if residual <= tol:
             break
@@ -306,6 +292,6 @@ def sinkhorn_balance(
             residual=residual,
         )
     sm = StochasticMatrix(spec, values, residual=residual, cells=cells)
-    if isinstance(m, BandMatrix) and not sm.support_equals_band():
+    if not sm.support_equals_band():
         raise ValidationError("balanced matrix support differs from the band")
     return sm, ScalingVectors(u, v, iterations, residual)

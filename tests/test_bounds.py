@@ -14,7 +14,7 @@ from permball.bounds import (
     vdw_sinkhorn_bound,
 )
 from permball.core import BallSpec, BandMatrix
-from permball.errors import SupportError, ValidationError
+from permball.errors import DimensionError, ValidationError
 from permball.oracle import ball_size_exact
 from permball.qmat import (
     StochasticMatrix,
@@ -26,15 +26,14 @@ from permball.qmat import (
 
 
 def uniform(n):
-    # The dense form: the band of radius n-1 holds every cell.
+    # The band of radius n-1 holds every cell.
     return StochasticMatrix(BallSpec(n, n - 1), np.full(n * n, 1.0 / n))
 
 
 class TestVdwSinkhornBound:
     def test_two_by_two_uniform(self):
-        assert vdw_sinkhorn_bound(np.ones((2, 2)), uniform(2)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        value = vdw_sinkhorn_bound(BandMatrix(BallSpec(2, 1)), uniform(2))
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_band_n3_hand_evaluated(self):
         # Seven support cells: two of value 2/3 and five of value 1/3.
@@ -59,12 +58,26 @@ class TestVdwSinkhornBound:
         assert first <= second <= exact
         assert second == pytest.approx(3.67118, abs=1e-5)
 
-    def test_support_violation_names_cell(self):
-        with pytest.raises(SupportError, match=r"\(1,2\)"):
-            vdw_sinkhorn_bound(np.eye(2), uniform(2))
-        # A band narrower than Q's: its first cell outside that band.
-        with pytest.raises(SupportError, match=r"\(1,2\)"):
-            bethe_bound(BandMatrix(BallSpec(3, 0)), q_first_class(BallSpec(3, 1)))
+    def test_spec_mismatch_names_both_specs(self):
+        q = q_first_class(BallSpec(3, 1))
+        mismatch = r"Q on the band of n=3, r=1 does not match the band of n=3, r={}"
+        # A narrower band misses Q's cells; a wider one holds them, but Q
+        # must be stored on the band's own cells either way.
+        with pytest.raises(DimensionError, match=mismatch.format(0)):
+            bethe_bound(BandMatrix(BallSpec(3, 0)), q)
+        with pytest.raises(DimensionError, match=mismatch.format(2)):
+            vdw_sinkhorn_bound(BandMatrix(BallSpec(3, 2)), q)
+        with pytest.raises(DimensionError, match="band of n=4, r=1"):
+            vdw_sinkhorn_bound(BandMatrix(BallSpec(4, 1)), q)
+
+    def test_zero_cells_of_q_contribute_nothing(self):
+        # Q need not be the balanced matrix: the identity is doubly
+        # stochastic on the band (2, 1), and its two zero cells add
+        # 0*log2(0) = 0 to either functional.
+        band = BandMatrix(BallSpec(2, 1))
+        q = StochasticMatrix(BallSpec(2, 1), np.eye(2).ravel())
+        assert vdw_sinkhorn_bound(band, q) == -1.0  # log2(2!/2^2)
+        assert bethe_bound(band, q) == 0.0
 
     def test_balanced_matrix_maximizes_functional(self):
         for n, r in ((5, 2), (6, 2), (8, 5), (9, 4)):
@@ -81,55 +94,16 @@ class TestVdwSinkhornBound:
                 assert best >= vdw_sinkhorn_bound(band, q) - 1e-6
 
 
-class TestGenericFunctionalsOnWeightedMatrices:
-    """The two functionals lower-bound log2 per(M) for any non-negative M."""
-
-    def permanent(self, m):
-        import itertools
-
-        n = len(m)
-        total = 0
-        for perm in itertools.permutations(range(n)):
-            product = 1
-            for i in range(n):
-                product *= m[i][perm[i]]
-                if product == 0:
-                    break
-            total += product
-        return total
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_vdw_and_bethe_below_true_permanent(self, seed):
-        # Strictly positive entries so the matrix has total support and the
-        # balancing converges to an exact fixed point.
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 6))
-        m = rng.integers(1, 5, size=(n, n))
-        exact = self.permanent(m.tolist())
-        balanced, _ = sinkhorn_balance(m.astype(float), tol=1e-10)
-        assert vdw_sinkhorn_bound(m.astype(float), balanced) <= math.log2(exact) + 1e-9
-        assert bethe_bound(m.astype(float), balanced) <= math.log2(exact) + 1e-9
-
-    def test_band_without_total_support_is_still_bounded(self):
-        # Q need not be the balanced matrix; any valid doubly-stochastic Q
-        # with contained support certifies a lower bound.
-        m = np.array([[1.0, 1.0], [0.0, 1.0]])
-        q = StochasticMatrix(BallSpec(2, 1), np.eye(2).ravel())
-        assert vdw_sinkhorn_bound(m, q) <= math.log2(self.permanent(m.tolist()))
-
-
 class TestBetheBound:
     def test_two_by_two_uniform_vanishes(self):
-        assert bethe_bound(np.ones((2, 2)), uniform(2)) == pytest.approx(0.0, abs=1e-12)
+        value = bethe_bound(BandMatrix(BallSpec(2, 1)), uniform(2))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_three_by_three_uniform(self):
         per_entry = -(1 / 3) * math.log2(1 / 3) + (2 / 3) * math.log2(2 / 3)
-        assert bethe_bound(np.ones((3, 3)), uniform(3)) == pytest.approx(
-            9 * per_entry, abs=1e-12
-        )
-        assert bethe_bound(np.ones((3, 3)), uniform(3)) == pytest.approx(
-            1.2451, abs=1e-4
-        )
+        value = bethe_bound(BandMatrix(BallSpec(3, 2)), uniform(3))
+        assert value == pytest.approx(9 * per_entry, abs=1e-12)
+        assert value == pytest.approx(1.2451, abs=1e-4)
 
     def test_lower_bounds_exact_count(self):
         for n, r in ((6, 4), (8, 5), (7, 5)):

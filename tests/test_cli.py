@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import sys
 
 import pytest
 
@@ -67,6 +68,41 @@ class TestExact:
     def test_requires_exactly_one_radius_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "exact", "--n", "5", "--cache-dir", str(tmp_path))
         assert code == 1 and "exactly one" in err
+
+
+class TestCountsPastTheIntStrLimit:
+    """Python converts at most 4,300 digits between int and str unless the
+    limit is lifted; 2000! has 5,736, and the CLI prints, caches and
+    tabulates it."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        # Start from a fresh interpreter's limit; other tests' main() calls
+        # have lifted it in this process.
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_exact_prints_and_caches_2000_factorial(self, capsys, tmp_path):
+        argv = ("exact", "--n", "2000", "--r", "1999", "--cache-dir", str(tmp_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and "backend: closed-form" in err
+        assert len(out.strip()) == 5736
+        assert out.strip() == str(math.factorial(2000))
+        code, again, err = run(capsys, *argv)
+        assert code == 0 and again == out and "backend: cache" in err
+
+    def test_sweep_rows_hold_the_counts(self, capsys, tmp_path):
+        # Two cells and two jobs, so the counts are made in pool workers.
+        out = tmp_path / "s.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--n", "2000,2001", "--rho", "1", "--families", "phi1",
+            "--out", str(out), "--cache-dir", str(tmp_path / "cache"), "--jobs", "2",
+        )
+        assert code == 0
+        counts = [row["exact_count"] for row in parse_sweep_csv(out.read_text())]
+        assert counts == [math.factorial(2000), math.factorial(2001)]
 
 
 class TestSweep:

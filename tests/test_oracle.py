@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from permball import oracle
-from permball.core import BallSpec, BandMatrix
+from permball.core import BallSpec
 from permball.errors import (
     CapacityError,
     DimensionError,
@@ -25,22 +25,8 @@ from permball.oracle import (
     ball_size_exact,
     ball_size_exact_detailed,
     ball_size_modular_dp,
-    permanent_ryser,
+    ball_size_ryser,
 )
-
-
-def permanent_by_definition(m):
-    """Sum over all permutations of the entry products (the raw definition)."""
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        product = 1
-        for i in range(n):
-            product *= m[i][perm[i]]
-            if product == 0:
-                break
-        total += product
-    return total
 
 
 def fibonacci(k):
@@ -59,23 +45,12 @@ class TestEnumerate:
 
 class TestRyser:
     def test_all_ones_and_identity(self):
-        assert permanent_ryser([[1] * 3] * 3) == 6
-        assert permanent_ryser([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+        # The bands of radius n-1 and 0.
+        assert ball_size_ryser(BallSpec(3, 2)) == 6
+        assert ball_size_ryser(BallSpec(3, 0)) == 1
 
     def test_band_example(self):
-        assert permanent_ryser(list(BandMatrix(BallSpec(4, 1)).rows())) == 5
-
-    def test_against_definition_on_weighted_matrices(self):
-        m = [[1, 2, 0], [3, 1, 1], [0, 2, 2]]
-        assert permanent_ryser(m) == permanent_by_definition(m)
-        m = [[2, 1, 1, 0], [1, 3, 0, 1], [0, 1, 1, 2], [1, 0, 2, 1]]
-        assert permanent_ryser(m) == permanent_by_definition(m)
-
-    def test_errors(self):
-        with pytest.raises(DimensionError):
-            permanent_ryser([[1, 2], [3, 4], [5, 6]])
-        with pytest.raises(DimensionError):
-            permanent_ryser([[1, -1], [1, 1]])
+        assert ball_size_ryser(BallSpec(4, 1)) == 5
 
 
 class TestBandDP:
@@ -184,11 +159,17 @@ class TestModularDP:
 class TestBackendAgreement:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_backends_all_radii(self, n):
+        # Every backend in the dispatcher's table that has a finite
+        # prediction at the cell, inside the work budget or not.
+        ran = set()
         for r in range(n):
             spec = BallSpec(n, r)
             expected = ball_size_enumerate(spec)
-            assert permanent_ryser(list(BandMatrix(spec).rows())) == expected
-            assert ball_size_band_dp(spec) == expected
+            for name, (predict, count) in oracle._BACKENDS.items():
+                if math.isfinite(predict(spec)):
+                    assert count(spec) == expected, (name, spec)
+                    ran.add(name)
+        assert ran == set(oracle._BACKENDS)
 
 
 class TestInvariants:

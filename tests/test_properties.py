@@ -215,6 +215,10 @@ def test_valid_bounds_sandwich_the_exact_count(spec):
         bound = finite_bound(family, spec)
         if bound.valid:
             assert bound.bits <= exact_bits + 1e-9, family
+    band = BandMatrix(spec)
+    balanced, _ = sinkhorn_balance(band, tol=1e-10)
+    for functional in (vdw_sinkhorn_bound, bethe_bound):
+        assert functional(band, balanced) <= exact_bits + 1e-9, functional.__name__
     phi1_prime = finite_bound("phi1_prime", spec)
     if phi1_prime.valid:
         assert phi1_prime.bits < exact_bits
