@@ -86,10 +86,11 @@ def bethe_bound(band: BandMatrix, q: StochasticMatrix) -> float:
     sum over support of [-q*log2(q) + (1-q)*log2(1-q)]."""
     qv, h = _relative_entropy_terms(band, q)
     one_minus = 1.0 - qv
-    extra = np.zeros_like(qv)
-    positive = one_minus > 0
-    extra[positive] = one_minus[positive] * np.log2(one_minus[positive])
-    return float(np.sum(h + extra))
+    # 0 where q = 1 (the 0*log2(0) = 0 convention), without a masked copy.
+    extra = np.log2(one_minus, out=np.zeros_like(qv), where=one_minus > 0)
+    extra *= one_minus
+    h += extra
+    return float(np.sum(h))
 
 
 def _invalid(family: str, spec: BallSpec, reason: str) -> BoundValue:

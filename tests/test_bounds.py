@@ -105,6 +105,27 @@ class TestBetheBound:
         assert value == pytest.approx(9 * per_entry, abs=1e-12)
         assert value == pytest.approx(1.2451, abs=1e-4)
 
+    def test_radius_zero_is_zero_without_warnings(self):
+        # At r = 0 every q is 1, so both terms vanish; log2(1 - q) is never
+        # taken at 0.
+        for n in (1, 2, 7):
+            spec = BallSpec(n, 0)
+            band = BandMatrix(spec)
+            with np.errstate(all="raise"):
+                balanced, _ = sinkhorn_balance(band)
+                assert bethe_bound(band, balanced) == 0.0
+                assert bethe_bound(band, q_first_class(spec)) == 0.0
+
+    def test_balanced_band_against_fsum_reference(self):
+        spec = BallSpec(9, 3)
+        band = BandMatrix(spec)
+        balanced, _ = sinkhorn_balance(band, tol=1e-12)
+        reference = math.fsum(
+            -q * math.log2(q) + (1 - q) * math.log2(1 - q)
+            for q in balanced.values.tolist()
+        )
+        assert bethe_bound(band, balanced) == pytest.approx(reference, abs=1e-12)
+
     def test_lower_bounds_exact_count(self):
         for n, r in ((6, 4), (8, 5), (7, 5)):
             spec = BallSpec(n, r)

@@ -146,6 +146,22 @@ class TestSinkhorn:
         assert np.allclose(balanced.entries, 1.0 / 3.0)
         assert scales.iterations == 1
 
+    def test_sweep_count_does_not_depend_on_rho(self):
+        # The symmetric iteration contracts by about 0.6 per sweep at any
+        # n and rho, so about 40 sweeps reach 1e-10 everywhere.
+        for n, r in ((500, 10), (500, 25), (500, 449), (2000, 10)):
+            _, scales = sinkhorn_balance(BandMatrix(BallSpec(n, r)), tol=1e-10)
+            assert scales.iterations <= 60, (n, r, scales.iterations)
+        balanced, scales = sinkhorn_balance(BandMatrix(BallSpec(10**5, 1)), tol=1e-10)
+        assert scales.residual == balanced.residual <= 1e-10
+        assert balanced.support_equals_band()
+
+    def test_tight_tol_is_reached_at_large_n(self):
+        # The window sums centre x before taking its prefix sum; a plain
+        # prefix sum of x stalls near 1.7e-13 here.
+        balanced, scales = sinkhorn_balance(BandMatrix(BallSpec(2000, 10)), tol=1e-13)
+        assert scales.residual == balanced.residual <= 1e-13
+
     def test_high_range_fixed_points(self):
         for n, r in ((4, 2), (6, 4), (8, 5), (10, 7)):
             spec = BallSpec(n, r)
@@ -232,7 +248,7 @@ class TestSinkhorn:
         balanced, scales = sinkhorn_balance(band, tol=1e-11)
         idx = np.arange(7)
         mask = np.abs(idx[:, None] - idx[None, :]) <= 4
-        rebuilt = scales.row_scale[:, None] * mask * scales.col_scale[None, :]
+        rebuilt = scales.scale[:, None] * mask * scales.scale[None, :]
         assert np.abs(rebuilt - balanced.entries).max() <= 1e-12
         assert scales.residual <= 1e-11
 
