@@ -4,14 +4,16 @@ Five routes to the same integer: closed forms at the r = 0 and r = n-1
 boundaries, a column-sweep transfer DP over the band window in Python
 integers, the same DP in numpy residues modulo several coprime moduli,
 Ryser's inclusion-exclusion permanent over the band's column windows, and
-brute-force enumeration of S_n.  ``ball_size_exact`` dispatches to the
-backend predicted to be fastest, or runs all of them and insists they
-agree.
+a depth-first enumeration of the permutations inside the band.
+``ball_size_exact`` dispatches to the backend predicted to be fastest, or
+runs all of them and insists they agree.  The DP predictions count the
+states each column actually holds, which is fewer than C(2r, r) near the
+edges of the band and wherever 2r+1 nears n.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -30,18 +32,24 @@ if TYPE_CHECKING:
 # given.  Each prediction is a least-squares fit (in
 # relative error) of run times measured on a 2-vCPU Intel Xeon host, in
 # work units: one unit is one inner-loop step, n! * n for enumeration,
-# 2^n * n for Ryser and at most n * C(2r, r) * (2r+1) for either band DP.
+# 2^n * n for Ryser and, for either band DP, the states each column reads
+# times the rows it tries (``_dp_work``).
 EXACT_MAX_SECONDS = 3.0
-DP_S_PER_UNIT = 2.0e-7
+DP_S_PER_UNIT = 1.9e-7
 RYSER_S_PER_UNIT = 1.7e-7
 ENUMERATE_S_PER_UNIT = 2.1e-7
 # Ryser and enumeration also pay a fixed cost of about 30 us per call; it
 # keeps cells with n <= 5 on the Python-integer band DP.
 SETUP_S = 3.0e-5
-# The residue DP pays one set of numpy calls per column and row choice,
-# plus its units times the number of moduli.
-MODULAR_S_PER_CHOICE = 9.5e-6
-MODULAR_S_PER_UNIT = 3.3e-9
+# The residue DP pays one set of numpy calls per column and row choice.
+# A unit costs more in the boundary columns, which build their own
+# transfer maps, than in the bulk columns, which share one.
+MODULAR_S_PER_CHOICE = 7.8e-6
+MODULAR_S_PER_BOUNDARY_UNIT = 4.5e-8
+MODULAR_S_PER_BULK_UNIT = 1.6e-8
+# The closed form n! costs its decimal conversion, which is quadratic in
+# the digits (about 3.4 s for the 456,574 digits of 100000!).
+CLOSED_S_PER_DIGIT2 = 1.8e-11
 
 # Residues stay below 2^56, so the at most 2r+1 of them added into one
 # count before the next reduction fit in int64 for every r <= 63; the
@@ -62,13 +70,23 @@ class ExactResult:
 
 
 def ball_size_enumerate(spec: BallSpec) -> int:
-    """Count permutations within distance r of the identity by generation."""
+    """Count permutations within distance r of the identity one by one.
+
+    A depth-first search places column i in each free row with
+    |p(i) - i| <= r and counts every permutation it completes.
+    """
     n, r = spec.n, spec.r
-    count = 0
-    for p in itertools.permutations(range(1, n + 1)):
-        if all(abs(p[i] - i - 1) <= r for i in range(n)):
-            count += 1
-    return count
+    windows = [range(max(0, i - r), min(n, i + r + 1)) for i in range(n)]
+
+    def place(i: int, used: int) -> int:
+        count = 0
+        for row in windows[i]:
+            bit = 1 << row
+            if not used & bit:
+                count += 1 if i == n - 1 else place(i + 1, used | bit)
+        return count
+
+    return place(0, 0)
 
 
 def ball_size_ryser(spec: BallSpec) -> int:
@@ -144,7 +162,8 @@ def ball_size_band_dp(spec: BallSpec) -> int:
 def ball_size_modular_dp(spec: BallSpec) -> int:
     """The band DP of ``ball_size_band_dp`` in numpy residues.
 
-    States are a sorted uint64 array of the same window masks.  Counts are
+    States are a sorted array of the same window masks, uint32 where their
+    2r+1 bits fit and uint64 otherwise.  Counts are
     an int64 (states, k) array, one column per modulus, reduced once per
     column; the Chinese remainder theorem rebuilds the integer at the end.
     The k moduli multiply past the product of the row degrees, which
@@ -158,7 +177,8 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
         )
     moduli = _moduli(_degree_product(spec))
     divisors = np.array(moduli, dtype=np.int64)
-    states = np.array([(1 << r) - 1], dtype=np.uint64)
+    mask_type = np.uint32 if 2 * r + 1 <= 32 else np.uint64
+    states = np.array([(1 << r) - 1], dtype=mask_type)
     counts = np.ones((1, len(moduli)), dtype=np.int64)
     bulk = None
     for j in range(1, n + 1):
@@ -210,7 +230,8 @@ def _modular_column(
     nxt = merged[keep]
     del merged, keep
     # int32 indices and dropping each choice's masks once it is ranked
-    # keep the peak memory near 20 bytes per move.
+    # keep the peak memory near 17 bytes per move with uint32 masks (26
+    # with uint64).
     moves = []
     for i, src in enumerate(sources):
         moves.append((src, nxt.searchsorted(targets[i]).astype(np.int32)))
@@ -237,8 +258,8 @@ def _degree_product(spec: BallSpec) -> int:
 
 
 # The clamps below keep each prediction a finite float where the count is
-# far over the budget anyway: 20! * 20 and 2^64 * 64 units, or C(64, 32)
-# window states, are years of work at any of the rates above.
+# far over the budget anyway: 20! * 20 and 2^64 * 64 units are years of
+# work at any of the rates above.
 
 
 def _enumerate_seconds(n: int) -> float:
@@ -251,46 +272,96 @@ def _ryser_seconds(n: int) -> float:
     return SETUP_S + RYSER_S_PER_UNIT * (n << n)
 
 
-def _dp_work(spec: BallSpec) -> int:
-    r = min(spec.r, 32)
-    return spec.n * math.comb(2 * r, r) * (2 * r + 1)
+def _closed_seconds(spec: BallSpec) -> float:
+    if spec.r == 0:
+        return 0.0
+    if spec.r != spec.n - 1:
+        return math.inf
+    digits = math.lgamma(spec.n + 1) / math.log(10)
+    return CLOSED_S_PER_DIGIT2 * digits * digits
 
 
-def _dp_seconds(spec: BallSpec) -> float:
-    return DP_S_PER_UNIT * _dp_work(spec)
+def _states_after(n: int, r: int, j: int) -> int:
+    """The band DP's state count after column j: which min(j, r) of the
+    window rows max(1, j-r+1)..min(n, j+r) are matched (every row below
+    is)."""
+    return math.comb(min(n, j + r) - max(1, j - r + 1) + 1, min(j, r))
 
 
-def _modular_seconds(spec: BallSpec) -> float:
-    n, width = spec.n, 2 * min(spec.r, 32) + 1
-    # n * log2(2r+1) bits bound the degree product, so this bounds k.
-    moduli = n * math.log2(width) / RESIDUE_BITS + 1
-    return (
-        MODULAR_S_PER_CHOICE * n * width
-        + MODULAR_S_PER_UNIT * _dp_work(spec) * moduli
+@functools.cache
+def _narrow_work(n: int, r: int) -> int:
+    """The units of a band with no bulk column (n <= 2r+1), where every
+    column builds its own map.  The budget check in ``_dp_work`` lets only
+    n <= 65 through, so the cache holds at most about 2,000 counts."""
+    return sum(
+        _states_after(n, r, j - 1) * (min(n, j + r) - max(1, j - r) + 1)
+        for j in range(1, n + 1)
     )
+
+
+def _dp_work(spec: BallSpec) -> tuple[float, float]:
+    """Work units of either band DP, (boundary, bulk): the columns that
+    build a transfer map, and the bulk columns after the first, which
+    reuse its map.  Column j's units are the states after column j-1
+    times the rows of its window.
+
+    Both are infinite where the states after column min(r, n // 2), the
+    most any column holds, alone are over the time budget at the cheapest
+    rate; such cells skip the sum.
+    """
+    n, r = spec.n, spec.r
+    peak = min(r, n // 2)
+    # C(66, 33) states are far past the budget; skip counting them.
+    if peak > 32 or (
+        _states_after(n, r, peak) * MODULAR_S_PER_BULK_UNIT > EXACT_MAX_SECONDS
+    ):
+        return math.inf, math.inf
+    if n <= 2 * r + 1:
+        return _narrow_work(n, r), 0
+    # Column j <= r+1 reads C(j-1+r, r) states and tries j+r rows; its
+    # mirror image n+1-j tries as many rows and reads C(j+r, r) states,
+    # C(2r, r) at j = r+1.  The n-2r-2 shared bulk columns read C(2r, r)
+    # states and try 2r+1 rows.
+    boundary = sum(
+        (j + r) * (math.comb(j - 1 + r, r) + math.comb(min(j + r, 2 * r), r))
+        for j in range(1, r + 2)
+    )
+    return boundary, (n - 2 * r - 2) * math.comb(2 * r, r) * (2 * r + 1)
+
+
+def _predicted_seconds(spec: BallSpec) -> dict[str, float]:
+    boundary, bulk = _dp_work(spec)
+    modular = (
+        MODULAR_S_PER_CHOICE * spec.n * (2 * spec.r + 1)
+        + MODULAR_S_PER_BOUNDARY_UNIT * boundary
+        + MODULAR_S_PER_BULK_UNIT * bulk
+    )
+    return {
+        BACKEND_CLOSED: _closed_seconds(spec),
+        BACKEND_DP: DP_S_PER_UNIT * (boundary + bulk),
+        BACKEND_MODULAR: modular,
+        BACKEND_RYSER: _ryser_seconds(spec.n),
+        BACKEND_ENUMERATE: _enumerate_seconds(spec.n),
+    }
 
 
 def _closed_form(spec: BallSpec) -> int:
     return 1 if spec.r == 0 else math.factorial(spec.n)
 
 
-# name -> (predicted seconds for the spec, counts it).
 _BACKENDS = {
-    BACKEND_CLOSED: (
-        lambda spec: 0.0 if spec.r in (0, spec.n - 1) else math.inf,
-        _closed_form,
-    ),
-    BACKEND_DP: (_dp_seconds, ball_size_band_dp),
-    BACKEND_MODULAR: (_modular_seconds, ball_size_modular_dp),
-    BACKEND_RYSER: (lambda spec: _ryser_seconds(spec.n), ball_size_ryser),
-    BACKEND_ENUMERATE: (lambda spec: _enumerate_seconds(spec.n), ball_size_enumerate),
+    BACKEND_CLOSED: _closed_form,
+    BACKEND_DP: ball_size_band_dp,
+    BACKEND_MODULAR: ball_size_modular_dp,
+    BACKEND_RYSER: ball_size_ryser,
+    BACKEND_ENUMERATE: ball_size_enumerate,
 }
 
 
 def applicable_backends(spec: BallSpec) -> list[str]:
     """Backends predicted to count this spec within EXACT_MAX_SECONDS,
     fastest first."""
-    seconds = {name: predict(spec) for name, (predict, _) in _BACKENDS.items()}
+    seconds = _predicted_seconds(spec)
     admitted = [name for name in _BACKENDS if seconds[name] <= EXACT_MAX_SECONDS]
     return sorted(admitted, key=seconds.__getitem__)
 
@@ -328,7 +399,7 @@ def ball_size_exact_detailed(
             f"within the work budget of {EXACT_MAX_SECONDS:g} s"
         )
     run = candidates if verify else candidates[:1]
-    results = {b: _BACKENDS[b][1](spec) for b in run}
+    results = {b: _BACKENDS[b](spec) for b in run}
     if record is not None:
         results["cache"] = int(record.exact_count)
     distinct = set(results.values())

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,11 +150,51 @@ class TestModularDP:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
+    @pytest.mark.parametrize("n, r", [(17, 15), (19, 16)])
+    def test_equals_the_dict_dp_on_both_mask_widths(self, n, r):
+        # 31-bit masks are held as uint32, 33-bit masks as uint64.
+        spec = BallSpec(n, r)
+        assert ball_size_modular_dp(spec) == ball_size_band_dp(spec)
+
+    def test_traced_peak_memory_at_n17_r13(self):
+        tracemalloc.start()
+        try:
+            ball_size_modular_dp(BallSpec(17, 13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     def test_refuses_masks_wider_than_64_bits(self):
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="65-bit state masks"):
             ball_size_modular_dp(BallSpec(40, 32))
         assert time.perf_counter() - start < 0.1
+
+
+class TestWorkModel:
+    def test_state_count_matches_the_column_sweep(self):
+        for n in range(2, 21):
+            for r in range(1, n - 1):
+                states = np.array([(1 << r) - 1], dtype=np.uint64)
+                for j in range(1, n + 1):
+                    states, _ = oracle._modular_column(states, n, r, j)
+                    assert states.size == oracle._states_after(n, r, j), (n, r, j)
+
+    @pytest.mark.parametrize("n, r", [(12, 2), (9, 4), (6, 3), (16, 12), (40, 7)])
+    def test_units_are_states_read_times_rows_tried(self, n, r):
+        # Summed over the columns that build a map and over the others.
+        units = [0, 0]
+        states = np.array([(1 << r) - 1], dtype=np.uint64)
+        for j in range(1, n + 1):
+            rows = min(n, j + r) - max(1, j - r) + 1
+            units[r + 1 < j < n - r] += states.size * rows
+            states, _ = oracle._modular_column(states, n, r, j)
+        assert oracle._dp_work(BallSpec(n, r)) == tuple(units)
+
+    @pytest.mark.parametrize("n, r", [(40, 33), (300000, 299999), (500, 16)])
+    def test_cells_past_the_budget_skip_the_column_sum(self, n, r):
+        assert oracle._dp_work(BallSpec(n, r)) == (math.inf, math.inf)
 
 
 class TestBackendAgreement:
@@ -165,8 +206,9 @@ class TestBackendAgreement:
         for r in range(n):
             spec = BallSpec(n, r)
             expected = ball_size_enumerate(spec)
-            for name, (predict, count) in oracle._BACKENDS.items():
-                if math.isfinite(predict(spec)):
+            seconds = oracle._predicted_seconds(spec)
+            for name, count in oracle._BACKENDS.items():
+                if math.isfinite(seconds[name]):
                     assert count(spec) == expected, (name, spec)
                     ran.add(name)
         assert ran == set(oracle._BACKENDS)
@@ -216,7 +258,7 @@ class TestDispatch:
         assert ball_size_exact_detailed(BallSpec(8, 7)).backend == "closed-form"
         assert ball_size_exact_detailed(BallSpec(8, 7)).value == 40320
         assert ball_size_exact_detailed(BallSpec(50, 3)).backend == "band-dp"
-        assert ball_size_exact_detailed(BallSpec(15, 13)).backend == "ryser"
+        assert ball_size_exact_detailed(BallSpec(15, 13)).backend == "modular-dp"
 
     def test_verification_mode_runs_everything(self):
         result = ball_size_exact_detailed(BallSpec(3, 1), verify=True)
@@ -269,12 +311,10 @@ class TestDispatch:
 
 def expected_first_backend(spec):
     """The fastest backend on the benchmark cells: the closed forms at the
-    boundaries, the dict DP up to r = 3, the residue DP for wider windows,
-    and Ryser where 2r+1 nears n (n = 15..17, r >= 13)."""
+    boundaries, the dict DP up to r = 3 and the residue DP for wider
+    windows, n = 15..17 with r >= 13 included."""
     if spec.r in (0, spec.n - 1):
         return "closed-form"
-    if spec.r >= 13:
-        return "ryser"
     return "band-dp" if spec.r <= 3 else "modular-dp"
 
 
@@ -311,8 +351,20 @@ class TestWorkBudget:
             "7513205495880292"
         )
 
-    def test_small_cells_move_to_ryser_with_the_same_count(self):
-        # The DP's work model overestimates where 2r+1 nears n.
+    def test_narrow_bands_go_to_the_residue_dp_with_the_same_count(self):
+        # Where 2r+1 nears n the columns hold fewer than C(2r, r) states.
         spec = BallSpec(16, 12)
-        assert applicable_backends(spec) == ["ryser"]
+        assert applicable_backends(spec) == ["modular-dp", "ryser", "band-dp"]
         assert ball_size_exact(spec) == ball_size_band_dp(spec)
+
+    def test_refuses_the_factorial_of_300000_at_once(self):
+        # The closed form is charged for writing n! in decimal.
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="work budget"):
+            ball_size_exact(BallSpec(300000, 299999))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [60, 2000])
+    def test_counts_the_factorial_of_small_n(self, n):
+        result = ball_size_exact_detailed(BallSpec(n, n - 1))
+        assert (result.value, result.backend) == (math.factorial(n), "closed-form")
