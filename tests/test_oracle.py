@@ -173,24 +173,20 @@ class TestModularDP:
 
 
 class TestWorkModel:
-    def test_state_count_matches_the_column_sweep(self):
+    def test_matches_the_column_sweep(self):
+        # At every cell 2 <= n <= 20, 1 <= r <= n-2: the state count after
+        # each column, and the units (states read times rows tried) summed
+        # over the columns that build a map and over the others.
         for n in range(2, 21):
             for r in range(1, n - 1):
+                units = [0, 0]
                 states = np.array([(1 << r) - 1], dtype=np.uint64)
                 for j in range(1, n + 1):
+                    rows = min(n, j + r) - max(1, j - r) + 1
+                    units[r + 1 < j < n - r] += states.size * rows
                     states, _ = oracle._modular_column(states, n, r, j)
                     assert states.size == oracle._states_after(n, r, j), (n, r, j)
-
-    @pytest.mark.parametrize("n, r", [(12, 2), (9, 4), (6, 3), (16, 12), (40, 7)])
-    def test_units_are_states_read_times_rows_tried(self, n, r):
-        # Summed over the columns that build a map and over the others.
-        units = [0, 0]
-        states = np.array([(1 << r) - 1], dtype=np.uint64)
-        for j in range(1, n + 1):
-            rows = min(n, j + r) - max(1, j - r) + 1
-            units[r + 1 < j < n - r] += states.size * rows
-            states, _ = oracle._modular_column(states, n, r, j)
-        assert oracle._dp_work(BallSpec(n, r)) == tuple(units)
+                assert oracle._dp_work(BallSpec(n, r)) == tuple(units), (n, r)
 
     @pytest.mark.parametrize("n, r", [(40, 33), (300000, 299999), (500, 16)])
     def test_cells_past_the_budget_skip_the_column_sum(self, n, r):
