@@ -19,7 +19,6 @@ from .core import (
 from .errors import (
     CapacityError,
     ConvergenceError,
-    DimensionError,
     DomainError,
     PermballError,
     ValidationError,
@@ -60,7 +59,7 @@ __all__ = [
     # core
     "BallSpec", "BandMatrix", "parse_rho", "radius_from_rho",
     # errors
-    "CapacityError", "ConvergenceError", "DimensionError", "DomainError",
+    "CapacityError", "ConvergenceError", "DomainError",
     "PermballError", "ValidationError", "VerificationError",
     # oracle
     "ball_size_band_dp", "ball_size_enumerate", "ball_size_exact", "ball_size_ryser",

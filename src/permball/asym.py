@@ -14,15 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import finite_bound
+from .bounds import CLOSED_FAMILIES, LOWER_FAMILIES, finite_bound
 from .core import BallSpec
 from .errors import DomainError, PermballError, ValidationError
 from .scalar import LOG2E, binary_entropy, mu_star, t_hat
 
 logger = logging.getLogger(__name__)
 
-EXPONENT_FAMILIES = ("phi1", "Phi1", "phi1_prime", "phi2", "phi3")
-GAP_PAIRS = ("phi1", "phi1_prime", "phi2", "phi3")
+# Every closed family has an exponent, and every lower one a gap to Phi1.
+EXPONENT_FAMILIES = CLOSED_FAMILIES
+GAP_PAIRS = LOWER_FAMILIES
 
 DUAL_DERIVATION_TOL = 1e-9
 

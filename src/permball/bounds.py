@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BallSpec, BandMatrix
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .qmat import StochasticMatrix
 from .scalar import (
     LOG2E,
@@ -26,22 +26,6 @@ from .scalar import (
     log2_omega_r,
     sr_sums,
 )
-
-LOWER_FAMILIES = ("phi1", "phi1_prime", "phi2", "phi3")
-CLOSED_FAMILIES = ("phi1", "Phi1", "phi1_prime", "phi2", "phi3")
-GENERIC_FAMILIES = ("vdw_generic", "bethe_generic")
-ALL_FAMILIES = CLOSED_FAMILIES + GENERIC_FAMILIES
-
-DIRECTIONS = {
-    "phi1": "lower",
-    "phi1_prime": "lower",
-    "phi2": "lower",
-    "phi3": "lower",
-    "Phi1": "upper",
-    "vdw_generic": "lower",
-    "bethe_generic": "lower",
-}
-
 
 @dataclass(frozen=True)
 class BoundValue:
@@ -61,7 +45,7 @@ def _relative_entropy_terms(
     """q's positive values and their terms -q*log2(q).  Q must be stored
     on ``band``'s spec, so its cells are the band's, where the band is 1."""
     if band.spec != q.spec:
-        raise DimensionError(
+        raise ValidationError(
             f"Q on the band of n={q.spec.n}, r={q.spec.r} does not match "
             f"the band of n={band.spec.n}, r={band.spec.r}"
         )
@@ -91,10 +75,6 @@ def bethe_bound(band: BandMatrix, q: StochasticMatrix) -> float:
     extra *= one_minus
     h += extra
     return float(np.sum(h))
-
-
-def _invalid(family: str, spec: BallSpec, reason: str) -> BoundValue:
-    return BoundValue(family, DIRECTIONS[family], math.nan, spec, False, reason)
 
 
 def _phi1_bits(spec: BallSpec) -> float:
@@ -179,42 +159,48 @@ def _phi3_bits(spec: BallSpec) -> float:
     )
 
 
+# Per closed family: direction, bits at a spec, and the radius range it
+# covers with the text that refuses a radius outside it.
+_CLOSED = {
+    "phi1": ("lower", _phi1_bits, lambda spec: True, ""),
+    "Phi1": ("upper", _Phi1_bits, lambda spec: True, ""),
+    "phi1_prime": (
+        "lower", _phi1_prime_bits, lambda spec: 1 <= spec.r and spec.low_range,
+        "phi1_prime requires 1 <= r <= (n-1)/2",
+    ),
+    "phi2": ("lower", _phi2_bits, lambda spec: True, ""),
+    "phi3": (
+        "lower", _phi3_bits,
+        lambda spec: spec.second_low_range or spec.second_high_range,
+        "phi3 requires 1 <= r <= (n-2)/2 or (n-1)/2 < r < n-1",
+    ),
+}
+# The generic families are functionals of a doubly-stochastic Q on the band.
+GENERIC_FAMILIES = {"vdw_generic": vdw_sinkhorn_bound, "bethe_generic": bethe_bound}
+
+CLOSED_FAMILIES = tuple(_CLOSED)
+LOWER_FAMILIES = tuple(f for f, entry in _CLOSED.items() if entry[0] == "lower")
+ALL_FAMILIES = CLOSED_FAMILIES + tuple(GENERIC_FAMILIES)
+DIRECTIONS = {f: _CLOSED[f][0] if f in _CLOSED else "lower" for f in ALL_FAMILIES}
+
+
 def finite_bound(family: str, spec: BallSpec) -> BoundValue:
     """Finite-n value of a closed bound family at a spec, in bits.
 
-    phi1, Phi1, phi2 cover the whole radius range with a branch at
-    rho = 1/2 (``BallSpec.low_range``); phi1_prime requires r >= 1 and
-    ``low_range``, i.e. 1 <= r <= (n-1)/2; phi3 requires
-    ``second_low_range`` or ``second_high_range``, i.e. 1 <= r <= (n-2)/2
-    or (n-1)/2 < r < n-1.  Outside a family's range the result is an inert
-    invalid value.
+    phi1, Phi1 and phi2 cover every radius, with a branch at rho = 1/2
+    (``BallSpec.low_range``).  Outside the range of phi1_prime or phi3
+    the result is an inert invalid value whose reason is the family's
+    refusal text.
     """
     if family not in CLOSED_FAMILIES:
         raise ValidationError(
             f"unknown bound family {family!r}; expected one of {CLOSED_FAMILIES}"
         )
-    r = spec.r
-    if family == "phi1":
-        bits = _phi1_bits(spec)
-    elif family == "Phi1":
-        bits = _Phi1_bits(spec)
-    elif family == "phi2":
-        bits = _phi2_bits(spec)
-    elif family == "phi1_prime":
-        if not (1 <= r and spec.low_range):
-            return _invalid(
-                family, spec, f"phi1_prime requires 1 <= r <= (n-1)/2, got r={r}"
-            )
-        bits = _phi1_prime_bits(spec)
-    else:
-        if not (spec.second_low_range or spec.second_high_range):
-            return _invalid(
-                family,
-                spec,
-                f"phi3 requires 1 <= r <= (n-2)/2 or (n-1)/2 < r < n-1, got r={r}",
-            )
-        bits = _phi3_bits(spec)
-    return BoundValue(family, DIRECTIONS[family], bits, spec, True)
+    direction, bits, covers, refusal = _CLOSED[family]
+    if not covers(spec):
+        reason = f"{refusal}, got r={spec.r}"
+        return BoundValue(family, direction, math.nan, spec, False, reason)
+    return BoundValue(family, direction, bits(spec), spec, True)
 
 
 def best_finite_lower_bound(spec: BallSpec) -> float:

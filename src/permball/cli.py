@@ -26,16 +26,13 @@ from .bounds import (
     DIRECTIONS,
     GENERIC_FAMILIES,
     BoundValue,
-    bethe_bound,
     finite_bound,
-    vdw_sinkhorn_bound,
 )
 from .cache import ResultCache, default_cache_dir
 from .core import BallSpec, BandMatrix, parse_rho, radius_from_rho
 from .errors import (
     CapacityError,
     ConvergenceError,
-    DimensionError,
     DomainError,
     PermballError,
     ValidationError,
@@ -46,12 +43,11 @@ from .qmat import q_first_class, q_second_high, q_second_low, sinkhorn_balance
 from .rates import rate_table
 from .tables import (
     render_gap_long_csv,
-    render_gap_wide_csv,
-    render_rate_csv,
     render_matrix_dense_csv,
     render_matrix_triplets_csv,
-    render_rate_wide_csv,
+    render_rate_csv,
     render_sweep_csv,
+    render_wide_csv,
     sweep_json_row,
     sweep_row,
 )
@@ -159,8 +155,7 @@ def _sweep_cell(families, cache_dir, n: int, r: int) -> list:
         if balanced is None:
             rows.append(BoundValue(family, direction, float("nan"), spec, False, failure))
         else:
-            functional = vdw_sinkhorn_bound if family == "vdw_generic" else bethe_bound
-            bits = functional(band, balanced)
+            bits = GENERIC_FAMILIES[family](band, balanced)
             rows.append(BoundValue(family, direction, bits, spec, True))
     return [(bv, exact_count) for bv in sorted(rows, key=lambda b: b.family)]
 
@@ -216,17 +211,25 @@ def cmd_sweep(args) -> int:
 # -- figures ------------------------------------------------------------
 
 
-# Per rate figure: curves, x column, the reserved empty column and why it
-# is empty, title, and step_grid's first index (2 keeps delta = 1 in fig2).
-RATE_FIGURES = {
-    "fig2": (("ecc_old", "ecc_new"), "delta", "anticode",
-             "bound formula out of scope", "ball-packing rate bounds", 2),
-    "fig3": (("cover_old", "cover_new"), "rho", "construction",
-             "code construction out of scope", "covering rate bounds", 1),
+_RATE_UNIT = "rates in bits per symbol, no standalone log2(n) term"
+
+# Per figure: curves, x column, the reserved empty columns with why each is
+# empty, title, unit comment, and step_grid's first index (2 keeps
+# delta = 1 in fig2; fig1's gap table starts at 1).
+FIGURES = {
+    "fig1": (GAP_PAIRS, "rho", {}, "gap curves",
+             "gap in bits per symbol against the factorial-product upper bound", 1),
+    "fig2": (("ecc_old", "ecc_new"), "delta",
+             {"anticode": "bound formula out of scope"},
+             "ball-packing rate bounds", _RATE_UNIT, 2),
+    "fig3": (("cover_old", "cover_new"), "rho",
+             {"construction": "code construction out of scope"},
+             "covering rate bounds", _RATE_UNIT, 1),
 }
 
 
-def _plot_curves(path: Path, x_label: str, y_label: str, curves: dict) -> bool:
+def _plot_curves(path: Path, x_label: str, y_label: str, curves, series) -> bool:
+    """Plot each curve's (x, y) points out of the (curve, x, y) ``series``."""
     try:
         import matplotlib
 
@@ -236,8 +239,9 @@ def _plot_curves(path: Path, x_label: str, y_label: str, curves: dict) -> bool:
         logger.warning("matplotlib unavailable; skipping figure rendering")
         return False
     fig, ax = plt.subplots(figsize=(6.4, 4.2))
-    for label, (xs, ys) in curves.items():
-        ax.plot(xs, ys, label=label)
+    for curve in curves:
+        points = [(x, y) for c, x, y in series if c == curve]
+        ax.plot([x for x, _ in points], [y for _, y in points], label=curve)
     ax.set_xlabel(x_label)
     ax.set_ylabel(y_label)
     ax.grid(True, alpha=0.3)
@@ -251,58 +255,28 @@ def _plot_curves(path: Path, x_label: str, y_label: str, curves: dict) -> bool:
 def cmd_figures(args) -> int:
     step = args.grid_step
     out = Path(args.out) if args.out else Path(f"{args.which}.csv")
+    curves, x_name, reserved, title, unit, first = FIGURES[args.which]
     if args.which == "fig1":
-        points = gap_curve_table(GAP_PAIRS, step=step)
-        if args.format == "long":
-            text = render_gap_long_csv(points)
-        else:
-            text = render_gap_wide_csv(
-                points,
-                GAP_PAIRS,
-                comments=(
-                    f"permball {__version__} gap curves, grid step {step}",
-                    "gap in bits per symbol against the factorial-product upper bound",
-                ),
-            )
-        curves = {
-            pair: (
-                [p.rho for p in points if p.pair == pair],
-                [p.gap_bits for p in points if p.pair == pair],
-            )
-            for pair in GAP_PAIRS
-        }
-        x_label, y_label = "rho", "gap (bits/symbol)"
-    elif args.which in RATE_FIGURES:
-        kinds, x_name, unavailable, why, title, first = RATE_FIGURES[args.which]
-        points = rate_table(kinds, step_grid(step, first))
-        if args.format == "long":
-            text = render_rate_csv(points)
-        else:
-            text = render_rate_wide_csv(
-                points,
-                kinds,
-                x_name,
-                unavailable=(unavailable,),
-                comments=(
-                    f"permball {__version__} {title}, grid step {step}",
-                    "rates in bits per symbol, no standalone log2(n) term",
-                    f"column {unavailable}: unavailable ({why})",
-                ),
-            )
-        curves = {
-            kind: (
-                [p.x for p in points if p.kind == kind],
-                [p.rate_bits for p in points if p.kind == kind],
-            )
-            for kind in kinds
-        }
-        x_label, y_label = x_name, "rate (bits/symbol)"
+        points = gap_curve_table(curves, step=step)
+        series = [(p.pair, p.rho, p.gap_bits) for p in points]
+        render_long, y_label = render_gap_long_csv, "gap (bits/symbol)"
     else:
-        raise ValidationError(f"unknown figure {args.which!r}")
+        points = rate_table(curves, step_grid(step, first))
+        series = [(p.kind, p.x, p.rate_bits) for p in points]
+        render_long, y_label = render_rate_csv, "rate (bits/symbol)"
+    if args.format == "long":
+        text = render_long(points)
+    else:
+        comments = (
+            f"permball {__version__} {title}, grid step {step}",
+            unit,
+            *(f"column {c}: unavailable ({why})" for c, why in reserved.items()),
+        )
+        text = render_wide_csv(series, curves, x_name, tuple(reserved), comments)
     _emit(out, text)
     if not args.no_plot and str(out) != "-":
         png = out.with_suffix(".png")
-        if _plot_curves(png, x_label, y_label, curves):
+        if _plot_curves(png, x_name, y_label, curves, series):
             print(f"wrote {png}", file=sys.stderr)
     return EXIT_OK
 
@@ -310,26 +284,23 @@ def cmd_figures(args) -> int:
 # -- qmatrix ------------------------------------------------------------
 
 
+QMATRIX_FAMILIES = {
+    "first": q_first_class,
+    "second-low": q_second_low,
+    "second-high": q_second_high,
+    "balanced": lambda spec: sinkhorn_balance(BandMatrix(spec), tol=1e-10)[0],
+}
+QMATRIX_FORMATS = {"dense": render_matrix_dense_csv,
+                   "triplets": render_matrix_triplets_csv}
+
+
 def cmd_qmatrix(args) -> int:
     spec = BallSpec(args.n, args.r)
-    if args.family == "first":
-        sm = q_first_class(spec)
-    elif args.family == "second-low":
-        sm = q_second_low(spec)
-    elif args.family == "second-high":
-        sm = q_second_high(spec)
-    elif args.family == "balanced":
-        sm, _ = sinkhorn_balance(BandMatrix(spec), tol=1e-10)
-    else:
-        raise ValidationError(f"unknown family {args.family!r}")
+    sm = QMATRIX_FAMILIES[args.family](spec)
     comments = (
         f"permball {__version__} qmatrix family={args.family} n={spec.n} r={spec.r}",
     )
-    if args.format == "triplets":
-        text = render_matrix_triplets_csv(sm, comments)
-    else:
-        text = render_matrix_dense_csv(sm, comments)
-    _emit(args.out, text)
+    _emit(args.out, QMATRIX_FORMATS[args.format](sm, comments))
     return EXIT_OK
 
 
@@ -398,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figures", help="CSV data (and PNG) behind the report figures")
-    p.add_argument("which", choices=("fig1", "fig2", "fig3"))
+    p.add_argument("which", choices=FIGURES)
     p.add_argument("--grid-step", type=float, default=0.01)
     p.add_argument("--out", type=str)
     p.add_argument("--format", choices=("wide", "long"), default="wide")
@@ -408,12 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qmatrix", help="export a doubly-stochastic matrix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument(
-        "--family",
-        choices=("first", "second-low", "second-high", "balanced"),
-        default="first",
-    )
-    p.add_argument("--format", choices=("dense", "triplets"), default="dense")
+    p.add_argument("--family", choices=QMATRIX_FAMILIES, default="first")
+    p.add_argument("--format", choices=QMATRIX_FORMATS, default="dense")
     p.add_argument("--out", type=str)
     p.set_defaults(func=cmd_qmatrix)
 
@@ -433,7 +400,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValidationError, DomainError, DimensionError) as exc:
+    except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

@@ -7,16 +7,13 @@ class PermballError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionError(PermballError):
-    """Mismatched lengths, non-square matrices, or out-of-range indices."""
-
-
 class DomainError(PermballError):
     """Argument outside the mathematical domain of an operation."""
 
 
 class ValidationError(PermballError):
-    """Invalid user-supplied specification (bad n, r, rho, config)."""
+    """Invalid user-supplied specification (bad n, r, rho, config, backend
+    name, or a Q stored on another band's spec)."""
 
 
 class CapacityError(PermballError):

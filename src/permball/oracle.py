@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .core import BallSpec
-from .errors import CapacityError, DimensionError, VerificationError
+from .errors import CapacityError, ValidationError, VerificationError
 
 if TYPE_CHECKING:
     from .cache import ResultCache
@@ -289,10 +289,10 @@ def _states_after(n: int, r: int, j: int) -> int:
 
 
 @functools.cache
-def _narrow_work(n: int, r: int) -> int:
-    """The units of a band with no bulk column (n <= 2r+1), where every
-    column builds its own map.  The budget check in ``_dp_work`` lets only
-    n <= 65 through, so the cache holds at most about 2,000 counts."""
+def _column_work(n: int, r: int) -> int:
+    """The units of a band of n <= 2r+2 columns, every one of which builds
+    its own map.  Past the budget check in ``_dp_work`` n <= 66 and
+    r < n, so the cache holds at most about 2,200 counts."""
     return sum(
         _states_after(n, r, j - 1) * (min(n, j + r) - max(1, j - r) + 1)
         for j in range(1, n + 1)
@@ -305,6 +305,10 @@ def _dp_work(spec: BallSpec) -> tuple[float, float]:
     reuse its map.  Column j's units are the states after column j-1
     times the rows of its window.
 
+    A band longer than 2r+2 builds its maps in its first r+1 and last r+1
+    columns, whose units are those of the band of n = 2r+2; its other
+    n-2r-2 columns read C(2r, r) states and try 2r+1 rows.
+
     Both are infinite where the states after column min(r, n // 2), the
     most any column holds, alone are over the time budget at the cheapest
     rate; such cells skip the sum.
@@ -316,17 +320,8 @@ def _dp_work(spec: BallSpec) -> tuple[float, float]:
         _states_after(n, r, peak) * MODULAR_S_PER_BULK_UNIT > EXACT_MAX_SECONDS
     ):
         return math.inf, math.inf
-    if n <= 2 * r + 1:
-        return _narrow_work(n, r), 0
-    # Column j <= r+1 reads C(j-1+r, r) states and tries j+r rows; its
-    # mirror image n+1-j tries as many rows and reads C(j+r, r) states,
-    # C(2r, r) at j = r+1.  The n-2r-2 shared bulk columns read C(2r, r)
-    # states and try 2r+1 rows.
-    boundary = sum(
-        (j + r) * (math.comb(j - 1 + r, r) + math.comb(min(j + r, 2 * r), r))
-        for j in range(1, r + 2)
-    )
-    return boundary, (n - 2 * r - 2) * math.comb(2 * r, r) * (2 * r + 1)
+    bulk = max(n - 2 * r - 2, 0) * math.comb(2 * r, r) * (2 * r + 1)
+    return _column_work(min(n, 2 * r + 2), r), bulk
 
 
 def _predicted_seconds(spec: BallSpec) -> dict[str, float]:
@@ -384,7 +379,7 @@ def ball_size_exact_detailed(
     if backends is not None:
         unknown = [b for b in backends if b not in _BACKENDS]
         if unknown:
-            raise DimensionError(
+            raise ValidationError(
                 f"unknown backends {unknown}; expected {list(_BACKENDS)}"
             )
     record = cache.get(spec) if cache is not None else None

@@ -72,6 +72,41 @@ def data_section(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if not line.startswith("#"))
 
 
+def render_wide_csv(
+    series: Iterable[tuple[str, float, float]],
+    curves: Sequence[str],
+    x_name: str,
+    reserved: Sequence[str] = (),
+    comments: Sequence[str] = (),
+) -> str:
+    """Figure-style table of (curve, x, y) points: one x column, the
+    ``reserved`` columns, left empty (bounds whose formulas come from
+    elsewhere and are out of scope here), then one column per curve."""
+    by_x: dict[float, dict[str, float]] = {}
+    for curve, x, y in series:
+        by_x.setdefault(x, {})[curve] = y
+    blanks = ("",) * len(reserved)
+    rows = [
+        (format_float(x), *blanks, *[format_float(by_x[x].get(c)) for c in curves])
+        for x in sorted(by_x)
+    ]
+    return render_csv((x_name, *reserved, *curves), rows, comments)
+
+
+def _parse_wide_csv(
+    text: str, curves: Sequence[str], x_name: str, reserved: Sequence[str] = ()
+) -> list[tuple[str, float, float]]:
+    """``render_wide_csv``'s (curve, x, y) points, skipping empty cells."""
+    points = []
+    for raw in read_csv(text, (x_name, *reserved, *curves)):
+        x = float(raw[x_name])
+        for curve in curves:
+            value = _parse_float(raw[curve])
+            if value is not None:
+                points.append((curve, x, value))
+    return points
+
+
 # -- sweep rows ---------------------------------------------------------
 
 
@@ -136,26 +171,12 @@ def render_gap_wide_csv(
     pairs: Sequence[str],
     comments: Sequence[str] = (),
 ) -> str:
-    by_rho: dict[float, dict[str, float]] = {}
-    for p in points:
-        by_rho.setdefault(p.rho, {})[p.pair] = p.gap_bits
-    header = ("rho", *pairs)
-    rows = [
-        (format_float(rho), *(format_float(by_rho[rho].get(pair)) for pair in pairs))
-        for rho in sorted(by_rho)
-    ]
-    return render_csv(header, rows, comments)
+    series = ((p.pair, p.rho, p.gap_bits) for p in points)
+    return render_wide_csv(series, pairs, "rho", comments=comments)
 
 
 def parse_gap_wide_csv(text: str, pairs: Sequence[str]) -> list[GapCurvePoint]:
-    points = []
-    for raw in read_csv(text, ("rho", *pairs)):
-        rho = float(raw["rho"])
-        for pair in pairs:
-            value = _parse_float(raw[pair])
-            if value is not None:
-                points.append(GapCurvePoint(pair, rho, value))
-    return points
+    return [GapCurvePoint(*point) for point in _parse_wide_csv(text, pairs, "rho")]
 
 
 # -- rate tables --------------------------------------------------------
@@ -194,14 +215,10 @@ def parse_rate_wide_csv(
     x_name: str,
     unavailable: Sequence[str] = (),
 ) -> list[RatePoint]:
-    points = []
-    for raw in read_csv(text, (x_name, *unavailable, *columns)):
-        x = float(raw[x_name])
-        for kind in columns:
-            value = _parse_float(raw[kind])
-            if value is not None:
-                points.append(RatePoint(kind, x, value, "asymptotic"))
-    return points
+    return [
+        RatePoint(*point, "asymptotic")
+        for point in _parse_wide_csv(text, columns, x_name, unavailable)
+    ]
 
 
 def render_rate_wide_csv(
@@ -211,22 +228,8 @@ def render_rate_wide_csv(
     unavailable: Sequence[str] = (),
     comments: Sequence[str] = (),
 ) -> str:
-    """Figure-style wide table: one x column plus one column per curve.
-
-    ``unavailable`` columns are reserved but left empty (bounds whose
-    formulas come from elsewhere and are out of scope here).
-    """
-    by_x: dict[float, dict[str, float]] = {}
-    for p in points:
-        by_x.setdefault(p.x, {})[p.kind] = p.rate_bits
-    header = (x_name, *unavailable, *columns)
-    rows = []
-    for x in sorted(by_x):
-        row = [format_float(x)]
-        row.extend("" for _ in unavailable)
-        row.extend(format_float(by_x[x].get(kind)) for kind in columns)
-        rows.append(tuple(row))
-    return render_csv(header, rows, comments)
+    series = ((p.kind, p.x, p.rate_bits) for p in points)
+    return render_wide_csv(series, columns, x_name, unavailable, comments)
 
 
 # -- matrices -----------------------------------------------------------

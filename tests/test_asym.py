@@ -173,5 +173,22 @@ class TestConvergence:
         assert deviations[2] <= 0.02
 
     def test_invalid_family_range(self):
-        with pytest.raises(DomainError):
+        # The refusal texts of the closed-family table reach users here.
+        with pytest.raises(DomainError) as caught:
             empirical_exponent("phi1_prime", 1000, 0.75)
+        assert str(caught.value) == (
+            "family phi1_prime invalid at n=1000, r=749: "
+            "phi1_prime requires 1 <= r <= (n-1)/2, got r=749"
+        )
+        with pytest.raises(DomainError) as caught:
+            empirical_exponent("phi3", 1001, 0.5)
+        assert str(caught.value) == (
+            "family phi3 invalid at n=1001, r=500: "
+            "phi3 requires 1 <= r <= (n-2)/2 or (n-1)/2 < r < n-1, got r=500"
+        )
+        with pytest.raises(ValidationError) as caught:
+            empirical_exponent("phi9", 10, 0.5)
+        assert str(caught.value) == (
+            "unknown bound family 'phi9'; expected one of "
+            "('phi1', 'Phi1', 'phi1_prime', 'phi2', 'phi3')"
+        )

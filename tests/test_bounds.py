@@ -14,7 +14,7 @@ from permball.bounds import (
     vdw_sinkhorn_bound,
 )
 from permball.core import BallSpec, BandMatrix
-from permball.errors import DimensionError, ValidationError
+from permball.errors import ValidationError
 from permball.oracle import ball_size_exact
 from permball.qmat import (
     StochasticMatrix,
@@ -63,11 +63,11 @@ class TestVdwSinkhornBound:
         mismatch = r"Q on the band of n=3, r=1 does not match the band of n=3, r={}"
         # A narrower band misses Q's cells; a wider one holds them, but Q
         # must be stored on the band's own cells either way.
-        with pytest.raises(DimensionError, match=mismatch.format(0)):
+        with pytest.raises(ValidationError, match=mismatch.format(0)):
             bethe_bound(BandMatrix(BallSpec(3, 0)), q)
-        with pytest.raises(DimensionError, match=mismatch.format(2)):
+        with pytest.raises(ValidationError, match=mismatch.format(2)):
             vdw_sinkhorn_bound(BandMatrix(BallSpec(3, 2)), q)
-        with pytest.raises(DimensionError, match="band of n=4, r=1"):
+        with pytest.raises(ValidationError, match="band of n=4, r=1"):
             vdw_sinkhorn_bound(BandMatrix(BallSpec(4, 1)), q)
 
     def test_zero_cells_of_q_contribute_nothing(self):

@@ -1,9 +1,10 @@
-"""Every module-level import in the package is used.
+"""Every module-level import and private name in the package is used.
 
 No linter ships with the test extra, so this parses each module with
 ``ast``: a name bound by a module-level import (including one under
 ``if TYPE_CHECKING:``) must be read somewhere in the module, in its code,
-in a string annotation, or in ``__all__``.
+in a string annotation, or in ``__all__``; a private module-level
+function, class or constant must be read somewhere in the package.
 """
 
 import ast
@@ -82,3 +83,65 @@ def test_string_annotations_count_as_uses():
     )
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"math"}
+
+
+def private_definitions(tree):
+    """Functions, classes and constants the module defines at its top level
+    under a name with one leading underscore."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def read_names(tree):
+    """Names read as a loaded name, an attribute, or a ``from`` import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_unread_private_module_level_name():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    read = set().union(*map(read_names, trees.values()))
+    unread = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+    assert not unread, f"private names never read: {unread}"
+
+
+def test_unread_private_names_are_found():
+    tree = ast.parse(
+        "import math\n"
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "def _helper():\n"
+        "    return _USED + math.pi\n"
+        "def _left_over():\n"
+        "    return 0\n"
+        "class _Dead:\n"
+        "    pass\n"
+        "value = _helper()\n"
+    )
+    assert set(private_definitions(tree)) - read_names(tree) == {
+        "_UNUSED", "_left_over", "_Dead",
+    }

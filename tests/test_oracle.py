@@ -13,12 +13,7 @@ import pytest
 
 from permball import oracle
 from permball.core import BallSpec
-from permball.errors import (
-    CapacityError,
-    DimensionError,
-    ValidationError,
-    VerificationError,
-)
+from permball.errors import CapacityError, ValidationError, VerificationError
 from permball.oracle import (
     applicable_backends,
     ball_size_band_dp,
@@ -275,7 +270,7 @@ class TestDispatch:
         assert (result.value, result.backend) == (31, "enumerate")
         result = ball_size_exact_detailed(spec, cache=cache, backends=())
         assert (result.value, result.backend) == (31, "cache")
-        with pytest.raises(DimensionError, match="unknown backends"):
+        with pytest.raises(ValidationError, match="unknown backends"):
             ball_size_exact_detailed(spec, backends=("band-dp", "gpu"))
 
     def test_no_backend(self):

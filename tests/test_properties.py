@@ -32,7 +32,7 @@ from permball.bounds import (
     vdw_sinkhorn_bound,
 )
 from permball.cache import ResultCache
-from permball.cli import RATE_FIGURES, _sweep_cell, main
+from permball.cli import FIGURES, _sweep_cell, main
 from permball.core import BallSpec, BandMatrix, parse_rho, radius_from_rho
 from permball.errors import DomainError, ValidationError
 from permball.oracle import (
@@ -302,9 +302,10 @@ def test_gap_and_rate_tables_round_trip_long_and_wide(step):
     wide = parse_gap_wide_csv(render_gap_wide_csv(points, GAP_PAIRS), GAP_PAIRS)
     assert sorted(wide, key=by_pair) == sorted(points, key=by_pair)
     by_kind = lambda p: (p.kind, p.x)
-    for kinds, x_name, unavailable, *_, first in RATE_FIGURES.values():
+    for which in ("fig2", "fig3"):
+        kinds, x_name, reserved, *_, first = FIGURES[which]
         points = rate_table(kinds, step_grid(step, first))
         assert parse_rate_csv(render_rate_csv(points)) == points
-        text = render_rate_wide_csv(points, kinds, x_name, unavailable=(unavailable,))
-        wide = parse_rate_wide_csv(text, kinds, x_name, unavailable=(unavailable,))
+        text = render_rate_wide_csv(points, kinds, x_name, unavailable=tuple(reserved))
+        wide = parse_rate_wide_csv(text, kinds, x_name, unavailable=tuple(reserved))
         assert sorted(wide, key=by_kind) == sorted(points, key=by_kind)
