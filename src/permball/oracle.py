@@ -3,6 +3,7 @@
 Five routes to the same integer: closed forms at the r = 0 and r = n-1
 boundaries, a column-sweep transfer DP over the band window in Python
 integers, the same DP in numpy residues modulo several coprime moduli,
+swept only to the middle column and joined with its mirror image,
 Ryser's inclusion-exclusion permanent over the band's column windows, and
 a depth-first enumeration of the permutations inside the band.
 ``ball_size_exact`` dispatches to the backend predicted to be fastest, or
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -33,7 +35,8 @@ if TYPE_CHECKING:
 # relative error) of run times measured on a 2-vCPU Intel Xeon host, in
 # work units: one unit is one inner-loop step, n! * n for enumeration,
 # 2^n * n for Ryser and, for either band DP, the states each column reads
-# times the rows it tries (``_dp_work``).
+# times the rows it tries (``_dp_work``), over all n columns for the
+# Python-integer DP and over the first ceil(n/2) for the residue DP.
 EXACT_MAX_SECONDS = 3.0
 DP_S_PER_UNIT = 1.9e-7
 RYSER_S_PER_UNIT = 1.7e-7
@@ -43,10 +46,12 @@ ENUMERATE_S_PER_UNIT = 2.1e-7
 SETUP_S = 3.0e-5
 # The residue DP pays one set of numpy calls per column and row choice.
 # A unit costs more in the boundary columns, which build their own
-# transfer maps, than in the bulk columns, which share one.
-MODULAR_S_PER_CHOICE = 7.8e-6
+# transfer maps, than in the bulk columns, which share one.  Its join
+# costs a unit per state after the middle column and per modulus.
+MODULAR_S_PER_CHOICE = 1.3e-5
 MODULAR_S_PER_BOUNDARY_UNIT = 4.5e-8
-MODULAR_S_PER_BULK_UNIT = 1.6e-8
+MODULAR_S_PER_BULK_UNIT = 1.7e-8
+MODULAR_S_PER_JOIN_UNIT = 3.2e-7
 # The closed form n! costs its decimal conversion, which is quadratic in
 # the digits (about 3.4 s for the 456,574 digits of 100000!).
 CLOSED_S_PER_DIGIT2 = 1.8e-11
@@ -160,12 +165,17 @@ def ball_size_band_dp(spec: BallSpec) -> int:
 
 
 def ball_size_modular_dp(spec: BallSpec) -> int:
-    """The band DP of ``ball_size_band_dp`` in numpy residues.
+    """The band DP of ``ball_size_band_dp`` in numpy residues, swept to
+    the middle column and joined with its mirror image.
 
     States are a sorted array of the same window masks, uint32 where their
     2r+1 bits fit and uint64 otherwise.  Counts are
     an int64 (states, k) array, one column per modulus, reduced once per
-    column; the Chinese remainder theorem rebuilds the integer at the end.
+    column.  The band is symmetric under i -> n+1-i, so columns h+1..n,
+    read backwards, are columns 1..n-h of the same band: with h =
+    ceil(n/2), the count is the sum over the states S after column h of
+    F_h(S) * F_{n-h}(mirror(S)) (``_mirror``), one sweep giving both F.
+    The Chinese remainder theorem rebuilds the integer from its residues.
     The k moduli multiply past the product of the row degrees, which
     bounds the permanent, so the rebuilt integer is the exact count.
     """
@@ -180,8 +190,11 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
     mask_type = np.uint32 if 2 * r + 1 <= 32 else np.uint64
     states = np.array([(1 << r) - 1], dtype=mask_type)
     counts = np.ones((1, len(moduli)), dtype=np.int64)
+    half = (n + 1) // 2
+    # The vector after column n - half, which is column 0 at n = 1.
+    mirrored = states, counts
     bulk = None
-    for j in range(1, n + 1):
+    for j in range(1, half + 1):
         if r < j < n - r:
             # Bulk columns share one transfer map.  Their state set is
             # every r-subset of the lower 2r window bits, which the left
@@ -200,12 +213,68 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
             out[dst] += counts[src]
         out %= divisors
         counts = out
-    # Every path ends in the full window mask, the only final state.
+        if j == n - half:
+            mirrored = states, counts
+    # Free the last maps before the join.
+    bulk = moves = None
     value, modulus = 0, 1
-    for m, residue in zip(moduli, counts[0].tolist()):
-        value += modulus * ((residue - value) * pow(modulus, -1, m) % m)
+    for m, total in zip(moduli, _join((states, counts), mirrored, n, r)):
+        value += modulus * ((total - value) * pow(modulus, -1, m) % m)
         modulus *= m
     return value
+
+
+# Two residues below 2^56 overflow int64 when multiplied, so the join
+# multiplies them as Python integers, this many states of one modulus at
+# a time; converting all k moduli of a chunk at once raised the process's
+# peak RSS by about 1 MB over a run of exact counts.
+JOIN_CHUNK = 4096
+_REVERSED_BYTES = np.array(
+    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
+)
+
+
+def _mirror(states: np.ndarray, n: int, r: int, j: int) -> np.ndarray:
+    """The states after column j that complete each of ``states``, the
+    states after column n - j, to a permutation.
+
+    Bit k < 2r of a state after column n-j is row n-j+1-r+k, which the
+    mirror i -> n+1-i sends to row j+r-k, bit 2r-1-k of a state after
+    column j; a row one side has matched is the other side's to match.
+    So the low 2r bits are reversed and complemented, and the bits of the
+    rows outside 1..n that the window holds after column j, bit 2r
+    included, are set.
+    """
+    width = 8 * states.itemsize
+    reversed_ = _REVERSED_BYTES[states.view(np.uint8)].view(states.dtype)
+    low = ~(reversed_.byteswap() >> (width - 2 * r)) & ((1 << 2 * r) - 1)
+    virtual = sum(1 << k for k in range(2 * r + 1) if not 0 < j + 1 - r + k <= n)
+    return low | virtual
+
+
+def _join(
+    middle: tuple[np.ndarray, np.ndarray],
+    mirrored: tuple[np.ndarray, np.ndarray],
+    n: int,
+    r: int,
+) -> list[int]:
+    """Per modulus, the sum of F_h(S) * F_{n-h}(mirror(S)) over the states
+    S after column h = ceil(n/2), as a Python integer, given the (states,
+    counts) after columns h and n-h.  States whose mirror the DP never
+    reaches add nothing."""
+    (states, counts), (mirrored_states, mirrored_counts) = middle, mirrored
+    keys = _mirror(states, n, r, n - (n + 1) // 2)
+    at = np.minimum(mirrored_states.searchsorted(keys), mirrored_states.size - 1)
+    hit = (mirrored_states[at] == keys).nonzero()[0]
+    at = at[hit]
+    totals = [0] * counts.shape[1]
+    for start in range(0, hit.size, JOIN_CHUNK):
+        left = counts[hit[start : start + JOIN_CHUNK]]
+        right = mirrored_counts[at[start : start + JOIN_CHUNK]]
+        for i in range(len(totals)):
+            a, b = left[:, i].tolist(), right[:, i].tolist()
+            totals[i] += sum(map(operator.mul, a, b))
+    return totals
 
 
 def _modular_column(
@@ -289,25 +358,29 @@ def _states_after(n: int, r: int, j: int) -> int:
 
 
 @functools.cache
-def _column_work(n: int, r: int) -> int:
-    """The units of a band of n <= 2r+2 columns, every one of which builds
-    its own map.  Past the budget check in ``_dp_work`` n <= 66 and
-    r < n, so the cache holds at most about 2,200 counts."""
+def _column_work(n: int, r: int, last: int) -> int:
+    """The units of columns 1..last of a band of n <= 2r+2 columns, every
+    one of which builds its own map.  Past the budget check in
+    ``_dp_work`` n <= 66, r < n and ``last`` is n, ceil(n/2) or r+1, so
+    the cache holds at most about 6,600 counts."""
     return sum(
         _states_after(n, r, j - 1) * (min(n, j + r) - max(1, j - r) + 1)
-        for j in range(1, n + 1)
+        for j in range(1, last + 1)
     )
 
 
-def _dp_work(spec: BallSpec) -> tuple[float, float]:
-    """Work units of either band DP, (boundary, bulk): the columns that
-    build a transfer map, and the bulk columns after the first, which
-    reuse its map.  Column j's units are the states after column j-1
-    times the rows of its window.
+def _dp_work(spec: BallSpec, half: bool = False) -> tuple[float, float]:
+    """Work units of the band DP's columns 1..n, or 1..ceil(n/2) with
+    ``half``, as (boundary, bulk): the columns that build a transfer map,
+    and the bulk columns after the first, which reuse its map.  Column
+    j's units are the states after column j-1 times the rows of its
+    window.
 
     A band longer than 2r+2 builds its maps in its first r+1 and last r+1
     columns, whose units are those of the band of n = 2r+2; its other
-    n-2r-2 columns read C(2r, r) states and try 2r+1 rows.
+    n-2r-2 columns read C(2r, r) states and try 2r+1 rows.  Its first
+    ceil(n/2) columns are the first r+1 of those and ceil(n/2)-r-1 bulk
+    columns.
 
     Both are infinite where the states after column min(r, n // 2), the
     most any column holds, alone are over the time budget at the cheapest
@@ -320,23 +393,47 @@ def _dp_work(spec: BallSpec) -> tuple[float, float]:
         _states_after(n, r, peak) * MODULAR_S_PER_BULK_UNIT > EXACT_MAX_SECONDS
     ):
         return math.inf, math.inf
-    bulk = max(n - 2 * r - 2, 0) * math.comb(2 * r, r) * (2 * r + 1)
-    return _column_work(min(n, 2 * r + 2), r), bulk
+    last = (n + 1) // 2 if half else n
+    if n <= 2 * r + 2:
+        return _column_work(n, r, last), 0
+    bulk = math.comb(2 * r, r) * (2 * r + 1)
+    if half:
+        return _column_work(2 * r + 2, r, r + 1), (last - r - 1) * bulk
+    return _column_work(2 * r + 2, r, 2 * r + 2), (n - 2 * r - 2) * bulk
+
+
+def _moduli_count(n: int, r: int) -> int:
+    """len(_moduli(_degree_product)) without the product: the degrees'
+    log2 sum over the RESIDUE_BITS each modulus carries.  Past the first
+    2r+1 rows every row adds a degree of 2r+1."""
+    m = min(n, 2 * r + 1)
+    bits = sum(math.log2(min(m, i + r) - max(1, i - r) + 1) for i in range(1, m + 1))
+    bits += (n - m) * math.log2(2 * r + 1)
+    return int(bits // RESIDUE_BITS) + 1
 
 
 def _predicted_seconds(spec: BallSpec) -> dict[str, float]:
-    boundary, bulk = _dp_work(spec)
+    n, r = spec.n, spec.r
+    half = (n + 1) // 2
+    boundary, bulk = _dp_work(spec, half=True)
+    # The join reads the states after the middle column once per modulus.
+    join = (
+        _states_after(n, r, half) * _moduli_count(n, r)
+        if math.isfinite(boundary)
+        else math.inf
+    )
     modular = (
-        MODULAR_S_PER_CHOICE * spec.n * (2 * spec.r + 1)
+        MODULAR_S_PER_CHOICE * half * (2 * r + 1)
         + MODULAR_S_PER_BOUNDARY_UNIT * boundary
         + MODULAR_S_PER_BULK_UNIT * bulk
+        + MODULAR_S_PER_JOIN_UNIT * join
     )
     return {
         BACKEND_CLOSED: _closed_seconds(spec),
-        BACKEND_DP: DP_S_PER_UNIT * (boundary + bulk),
+        BACKEND_DP: DP_S_PER_UNIT * sum(_dp_work(spec)),
         BACKEND_MODULAR: modular,
-        BACKEND_RYSER: _ryser_seconds(spec.n),
-        BACKEND_ENUMERATE: _enumerate_seconds(spec.n),
+        BACKEND_RYSER: _ryser_seconds(n),
+        BACKEND_ENUMERATE: _enumerate_seconds(n),
     }
 
 

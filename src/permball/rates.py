@@ -147,6 +147,8 @@ def rate_table(
     """Asymptotic rate points for the requested kinds over a grid, sorted
     by (kind, x)."""
     points: list[RatePoint] = []
+    # Read a one-shot iterator once, for every kind.
+    grid = None if grid is None else tuple(grid)
     for kind in kinds:
         if kind not in KINDS:
             raise ValidationError(f"unknown rate kind {kind!r}")

@@ -3,10 +3,12 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,10 +92,24 @@ class TestModularDP:
         assert ball_size_modular_dp(BallSpec(64, 3)) == 3432242028000180842764778779397
 
     def test_equals_the_dict_dp_on_every_small_cell(self):
-        for n in range(1, 17):
+        # Every r up to n = 16, which holds both parities of n and windows
+        # with 2r+1 > n, so virtual rows on both sides of the middle; up to
+        # n = 25, every r the dict DP is predicted to count in 20 ms.
+        for n in range(1, 26):
             for r in range(n):
                 spec = BallSpec(n, r)
+                if n > 16 and oracle._predicted_seconds(spec)["band-dp"] > 0.02:
+                    continue
                 assert ball_size_modular_dp(spec) == ball_size_band_dp(spec), (n, r)
+
+    @pytest.mark.parametrize("n", range(3, 19))
+    def test_wide_windows_match_inclusion_exclusion(self, n):
+        # r = n-1 is every permutation; r = n-2 excludes p(1) = n and
+        # p(n) = 1: n! - 2(n-1)! + (n-2)!.
+        f = math.factorial
+        assert ball_size_modular_dp(BallSpec(n, n - 1)) == f(n)
+        wide = f(n) - 2 * f(n - 1) + f(n - 2)
+        assert ball_size_modular_dp(BallSpec(n, n - 2)) == wide
 
     @pytest.mark.parametrize("n, r", [(40, 8), (30, 9)])
     def test_equals_the_dict_dp_on_wide_windows(self, n, r):
@@ -120,8 +136,9 @@ class TestModularDP:
 
         monkeypatch.setattr(oracle, "_modular_column", counting)
         ball_size_modular_dp(BallSpec(n, r))
+        # Only the columns up to the middle are swept.
         bulk = range(r + 1, n - r)
-        assert built == [j for j in range(1, n + 1) if j not in bulk[1:]]
+        assert built == [j for j in range(1, (n + 1) // 2 + 1) if j not in bulk[1:]]
 
     def test_bulk_state_set_is_closed(self):
         # Every r-subset of the lower 2r window bits, mapped onto itself.
@@ -171,21 +188,54 @@ class TestWorkModel:
     def test_matches_the_column_sweep(self):
         # At every cell 2 <= n <= 20, 1 <= r <= n-2: the state count after
         # each column, and the units (states read times rows tried) summed
-        # over the columns that build a map and over the others.
+        # over the columns that build a map and over the others, for the
+        # whole sweep and for its columns up to the middle.
         for n in range(2, 21):
             for r in range(1, n - 1):
-                units = [0, 0]
+                units, halved = [0, 0], [0, 0]
                 states = np.array([(1 << r) - 1], dtype=np.uint64)
                 for j in range(1, n + 1):
                     rows = min(n, j + r) - max(1, j - r) + 1
                     units[r + 1 < j < n - r] += states.size * rows
+                    if j <= (n + 1) // 2:
+                        halved[r + 1 < j < n - r] += states.size * rows
                     states, _ = oracle._modular_column(states, n, r, j)
                     assert states.size == oracle._states_after(n, r, j), (n, r, j)
-                assert oracle._dp_work(BallSpec(n, r)) == tuple(units), (n, r)
+                spec = BallSpec(n, r)
+                assert oracle._dp_work(spec) == tuple(units), (n, r)
+                assert oracle._dp_work(spec, half=True) == tuple(halved), (n, r)
+
+    def test_counts_the_moduli_without_their_product(self):
+        for n in range(1, 121):
+            for r in range(min(n, 40)):
+                bound = oracle._degree_product(BallSpec(n, r))
+                assert oracle._moduli_count(n, r) == len(oracle._moduli(bound)), (n, r)
+
+    def test_readme_prints_the_fitted_constants(self):
+        # The predicted-seconds column of the README's backend table.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| ([a-z-]+) +\| ([^|]+)\|", readme, re.M))
+        printed = {
+            name: [float(x) for x in re.findall(r"\d+(?:\.\d+)?e-\d+", rows[name])]
+            for name in oracle._BACKENDS
+        }
+        assert printed == {
+            "closed-form": [oracle.CLOSED_S_PER_DIGIT2],
+            "band-dp": [oracle.DP_S_PER_UNIT],
+            "modular-dp": [
+                oracle.MODULAR_S_PER_CHOICE,
+                oracle.MODULAR_S_PER_BOUNDARY_UNIT,
+                oracle.MODULAR_S_PER_BULK_UNIT,
+                oracle.MODULAR_S_PER_JOIN_UNIT,
+            ],
+            "ryser": [oracle.SETUP_S, oracle.RYSER_S_PER_UNIT],
+            "enumerate": [oracle.SETUP_S, oracle.ENUMERATE_S_PER_UNIT],
+        }
 
     @pytest.mark.parametrize("n, r", [(40, 33), (300000, 299999), (500, 16)])
     def test_cells_past_the_budget_skip_the_column_sum(self, n, r):
         assert oracle._dp_work(BallSpec(n, r)) == (math.inf, math.inf)
+        assert oracle._dp_work(BallSpec(n, r), half=True) == (math.inf, math.inf)
 
 
 class TestBackendAgreement:
@@ -259,6 +309,11 @@ class TestDispatch:
         assert result.value == 720
         assert result.backend == "band-dp+closed-form+enumerate+modular-dp+ryser"
 
+    def test_verification_at_n17_r13_runs_both_sweeps(self):
+        # The halved residue sweep against the dict DP's full one, and Ryser.
+        result = ball_size_exact_detailed(BallSpec(17, 13), verify=True)
+        assert result.backend == "band-dp+modular-dp+ryser"
+
     def test_backend_restriction(self, tmp_path):
         from permball.cache import ResultCache
 
@@ -320,7 +375,7 @@ def benchmark_exact_cells():
 
 
 class TestWorkBudget:
-    @pytest.mark.parametrize("n, r", [(100, 10), (30, 12), (22, 13)])
+    @pytest.mark.parametrize("n, r", [(100, 10), (30, 12), (23, 13)])
     def test_refuses_cells_over_budget_at_once(self, n, r):
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="work budget"):

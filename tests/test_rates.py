@@ -207,6 +207,12 @@ class TestRateTable:
             ("ecc_old", 0.3),
         ]
 
+    def test_one_shot_grid_serves_every_kind(self):
+        kinds = ("ecc_old", "ecc_new")
+        points = rate_table(kinds, grid=iter([0.1, 0.2]))
+        assert len(points) == 4
+        assert points == rate_table(kinds, grid=[0.1, 0.2])
+
     def test_default_grids(self):
         points = rate_table(("cover_new",))
         assert len(points) == 99
