@@ -110,11 +110,12 @@ class ResultCache:
                 os.unlink(tmp_name)
         return record
 
-    def audit(self) -> list[str]:
-        """Recompute every reachable record; return mismatch descriptions."""
+    def audit(self) -> CacheAudit:
+        """Recompute every reachable record.  Records that no backend can
+        recompute within the exact time budget are listed, not checked."""
         from .oracle import applicable_backends, ball_size_exact
 
-        problems = []
+        problems, skipped = [], []
         for path in sorted(self.directory.glob("n*_r*.json")):
             try:
                 record = self._load(path)
@@ -123,6 +124,7 @@ class ResultCache:
                 continue
             spec = record.spec()
             if not applicable_backends(spec):
+                skipped.append(spec)
                 continue
             recomputed = ball_size_exact(spec)
             if str(recomputed) != record.exact_count:
@@ -130,4 +132,13 @@ class ResultCache:
                     f"cache mismatch at n={spec.n}, r={spec.r}: stored "
                     f"{record.exact_count}, recomputed {recomputed}"
                 )
-        return problems
+        return CacheAudit(problems, skipped)
+
+
+@dataclass(frozen=True)
+class CacheAudit:
+    """``ResultCache.audit``'s findings: descriptions of the mismatched
+    and unreadable records, and the specs of the records it skipped."""
+
+    problems: list[str]
+    skipped: list[BallSpec]

@@ -317,7 +317,9 @@ def cmd_verify(args) -> int:
     failed = [c for c in checks if not c.passed]
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
-        print(f"{status}  {check.name:<{width}}  {check.seconds:7.2f}s")
+        # A passing check may carry a note, such as records it skipped.
+        note = f"  {check.detail}" if check.passed and check.detail != "ok" else ""
+        print(f"{status}  {check.name:<{width}}  {check.seconds:7.2f}s{note}")
     if failed:
         print(f"\n{len(failed)} of {len(checks)} checks failed:", file=sys.stderr)
         for check in failed:

@@ -44,14 +44,22 @@ ENUMERATE_S_PER_UNIT = 2.1e-7
 # Ryser and enumeration also pay a fixed cost of about 30 us per call; it
 # keeps cells with n <= 5 on the Python-integer band DP.
 SETUP_S = 3.0e-5
-# The residue DP pays one set of numpy calls per column and row choice.
-# A unit costs more in the boundary columns, which build their own
-# transfer maps, than in the bulk columns, which share one.  Its join
-# costs a unit per state after the middle column and per modulus.
-MODULAR_S_PER_CHOICE = 1.3e-5
-MODULAR_S_PER_BOUNDARY_UNIT = 4.5e-8
-MODULAR_S_PER_BULK_UNIT = 1.7e-8
-MODULAR_S_PER_JOIN_UNIT = 3.2e-7
+# The residue DP pays a fixed cost per call (its moduli, first arrays and
+# the CRT) and one set of numpy calls per column and row choice.  A unit
+# costs more in the boundary columns, which build their own transfer
+# maps, than in the bulk columns, which share one, and more again with
+# uint64 masks (2r+1 > 32), whose sorts and gathers move twice the bytes.
+# A bulk unit moves one count per modulus.  The join costs a unit per
+# state after the middle column and per modulus.  The fit weighs cells
+# over 0.3 s 3x, since admission turns on them, and keeps r = 3 on the
+# dict DP and r = 4..7 on this one at n = 20..100.
+MODULAR_S_PER_CALL = 4.2e-5
+MODULAR_S_PER_CHOICE = 7.0e-6
+MODULAR_S_PER_BOUNDARY_UNIT = 5.2e-8
+MODULAR_S_PER_WIDE_UNIT = 2.1e-8
+MODULAR_S_PER_BULK_UNIT = 1.0e-8
+MODULAR_S_PER_BULK_MODULUS = 9.4e-10
+MODULAR_S_PER_JOIN_UNIT = 1.0e-7
 # The closed form n! costs its decimal conversion, which is quadratic in
 # the digits (about 3.4 s for the 456,574 digits of 100000!).
 CLOSED_S_PER_DIGIT2 = 1.8e-11
@@ -78,17 +86,21 @@ def ball_size_enumerate(spec: BallSpec) -> int:
     """Count permutations within distance r of the identity one by one.
 
     A depth-first search places column i in each free row with
-    |p(i) - i| <= r and counts every permutation it completes.
+    |p(i) - i| <= r; the last column completes one permutation per free
+    row of its window, so those are counted by popcount.
     """
     n, r = spec.n, spec.r
     windows = [range(max(0, i - r), min(n, i + r + 1)) for i in range(n)]
+    last_window = sum(1 << row for row in windows[-1])
 
     def place(i: int, used: int) -> int:
+        if i == n - 1:
+            return (last_window & ~used).bit_count()
         count = 0
         for row in windows[i]:
             bit = 1 << row
             if not used & bit:
-                count += 1 if i == n - 1 else place(i + 1, used | bit)
+                count += place(i + 1, used | bit)
         return count
 
     return place(0, 0)
@@ -416,18 +428,18 @@ def _predicted_seconds(spec: BallSpec) -> dict[str, float]:
     n, r = spec.n, spec.r
     half = (n + 1) // 2
     boundary, bulk = _dp_work(spec, half=True)
-    # The join reads the states after the middle column once per modulus.
-    join = (
-        _states_after(n, r, half) * _moduli_count(n, r)
-        if math.isfinite(boundary)
-        else math.inf
-    )
-    modular = (
-        MODULAR_S_PER_CHOICE * half * (2 * r + 1)
-        + MODULAR_S_PER_BOUNDARY_UNIT * boundary
-        + MODULAR_S_PER_BULK_UNIT * bulk
-        + MODULAR_S_PER_JOIN_UNIT * join
-    )
+    modular = math.inf
+    if math.isfinite(boundary):
+        moduli = _moduli_count(n, r)
+        wide = MODULAR_S_PER_WIDE_UNIT if 2 * r + 1 > 32 else 0.0
+        modular = (
+            MODULAR_S_PER_CALL
+            + MODULAR_S_PER_CHOICE * half * (2 * r + 1)
+            + (MODULAR_S_PER_BOUNDARY_UNIT + wide) * boundary
+            + (MODULAR_S_PER_BULK_UNIT + MODULAR_S_PER_BULK_MODULUS * moduli) * bulk
+            # The join reads the states after the middle column per modulus.
+            + MODULAR_S_PER_JOIN_UNIT * _states_after(n, r, half) * moduli
+        )
     return {
         BACKEND_CLOSED: _closed_seconds(spec),
         BACKEND_DP: DP_S_PER_UNIT * sum(_dp_work(spec)),

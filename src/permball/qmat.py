@@ -95,10 +95,16 @@ class StochasticMatrix:
     def is_symmetric(self, tol: float = 0.0) -> bool:
         x = self.exact_numerators if self.is_exact else self.values
         rows, cols = self.cells
-        # Cell (j, i) sits at its row's start plus its offset within the row.
-        row_starts = np.searchsorted(rows, np.arange(self.n))
-        mirrored = x[row_starts[cols] + rows - np.maximum(cols - self.spec.r, 0)]
-        return bool(np.abs(x - mirrored).max() <= (0 if self.is_exact else tol))
+        n, r = self.n, self.spec.r
+        # Cell (j, i) sits at row j's start minus its first column, plus i.
+        idx = np.arange(n)
+        first = np.maximum(idx - r, 0)
+        counts = np.minimum(idx + r + 1, n) - first
+        shift = np.cumsum(counts) - counts - first
+        mirrored = x[shift[cols] + rows]
+        if self.is_exact:
+            return bool(np.array_equal(x, mirrored))
+        return bool(np.abs(x - mirrored).max() <= tol)
 
     def support_equals_band(self) -> bool:
         """Every band cell is positive (the cells are the band)."""
@@ -113,33 +119,40 @@ def _finish(
     numerators: np.ndarray | None = None,
     denominator: int | None = None,
 ) -> StochasticMatrix:
+    """The constructed matrix, once its line sums are 1 within
+    STOCHASTIC_TOL (and exactly, where it has numerators) and every band
+    cell is positive."""
+    where = f"at n={spec.n}, r={spec.r}"
     residual = _sum_deviation(cells, values, spec.n)
     if residual > STOCHASTIC_TOL:
         raise ConvergenceError(
-            f"constructed matrix misses double stochasticity: "
+            f"constructed matrix misses double stochasticity {where}: "
             f"residual {residual:g} > {STOCHASTIC_TOL:g}",
             residual=residual,
         )
     sm = StochasticMatrix(spec, values, numerators, denominator, residual, cells)
     if not sm.support_equals_band():
-        raise ValidationError("constructed matrix support differs from the band")
+        raise ValidationError(
+            f"constructed matrix support differs from the band {where}"
+        )
+    if sm.is_exact and not sm.exactly_doubly_stochastic():
+        raise ValidationError(
+            f"constructed matrix rational sums differ from 1 {where}"
+        )
     return sm
 
 
-def _first_class_numerators(
-    spec: BallSpec, cells: Cells, low_regime: bool
-) -> tuple[np.ndarray, int]:
-    n, r = spec.n, spec.r
-    ij = cells[0] + cells[1] + 2  # i + j, one-based
-    if low_regime:
-        denominator = 2 * r + 1
-        corners = (ij <= r + 1) | (ij >= 2 * n - r + 1)
-    else:
-        denominator = n
-        corners = (ij <= n - r) | (ij >= n + r + 2)
-    num = np.ones(ij.size, dtype=np.int64)
-    num[corners] = 2
-    return num, denominator
+def _first_class_corners(n: int, r: int, low_regime: bool) -> tuple[int, int]:
+    """(far, D): the cells with |i+j-n-1| >= far, the two corner
+    triangles, hold 2/D and the other band cells 1/D."""
+    return (n - r, 2 * r + 1) if low_regime else (r + 1, n)
+
+
+def _mirror_distance(cells: Cells, n: int) -> np.ndarray:
+    """|i+j-n-1| per cell: how far the cell lies from the anti-diagonal."""
+    distance = cells[0] + cells[1]
+    distance += 1 - n
+    return np.abs(distance, out=distance)
 
 
 def q_first_class(spec: BallSpec) -> StochasticMatrix:
@@ -152,21 +165,24 @@ def q_first_class(spec: BallSpec) -> StochasticMatrix:
     and asserted equal.
     """
     n, r = spec.n, spec.r
-    cells = BandMatrix(spec).cells()
-    num, denominator = _first_class_numerators(spec, cells, spec.low_range)
-    if spec.rho == Fraction(1, 2):
-        num_high, d_high = _first_class_numerators(spec, cells, False)
-        if denominator != d_high or (num != num_high).any():
-            raise ValidationError(
-                f"regime-boundary mismatch for first-class matrix at n={n}, r={r}"
-            )
-    values = num / float(denominator)
-    sm = _finish(spec, cells, values, numerators=num, denominator=denominator)
-    if not sm.exactly_doubly_stochastic():
+    far, denominator = _first_class_corners(n, r, spec.low_range)
+    if spec.rho == Fraction(1, 2) and (far, denominator) != _first_class_corners(
+        n, r, False
+    ):
         raise ValidationError(
-            f"first-class matrix rational sums differ from 1 at n={n}, r={r}"
+            f"regime-boundary mismatch for first-class matrix at n={n}, r={r}"
         )
-    return sm
+    cells = BandMatrix(spec).cells()
+    num = _mirror_distance(cells, n)
+    np.greater_equal(num, far, out=num)
+    num += 1
+    values = num / float(denominator)
+    return _finish(spec, cells, values, numerators=num, denominator=denominator)
+
+
+def _geometric(c: float, alpha: float, expo: np.ndarray, top: int) -> np.ndarray:
+    """c * alpha**expo per cell, from a table of the powers 0..top."""
+    return (c * np.power(alpha, np.arange(top + 1)))[expo]
 
 
 def q_second_low(spec: BallSpec) -> StochasticMatrix:
@@ -175,7 +191,8 @@ def q_second_low(spec: BallSpec) -> StochasticMatrix:
     On the band, entries are C*alpha^e with C = (alpha-1)/(alpha+1) and an
     exponent that decays linearly away from the corners: e = |i-j| in the
     bulk, and (r+1-i)+(r+1-j) / mirrored in the two (r+1)x(r+1) corner
-    blocks, where alpha solves alpha^(r+1) = alpha + 1.
+    blocks, where alpha solves alpha^(r+1) = alpha + 1.  Both pieces are
+    e = max(|i-j|, |i+j-n-1| - (n-2r-1)).
     """
     n, r = spec.n, spec.r
     if not spec.second_low_range:
@@ -185,13 +202,12 @@ def q_second_low(spec: BallSpec) -> StochasticMatrix:
     alpha = alpha_low_root(r).value
     c = (alpha - 1.0) / (alpha + 1.0)
     cells = BandMatrix(spec).cells()
-    i, j = cells[0] + 1, cells[1] + 1
-    expo = np.abs(i - j)
-    top = (i <= r + 1) & (j <= r + 1)
-    bot = (i >= n - r) & (j >= n - r)
-    expo = np.where(top, (r + 1 - i) + (r + 1 - j), expo)
-    expo = np.where(bot, (i - (n - r)) + (j - (n - r)), expo)
-    return _finish(spec, cells, c * np.power(alpha, expo))
+    expo = cells[0] - cells[1]
+    np.abs(expo, out=expo)
+    corner = _mirror_distance(cells, n)
+    corner -= n - 2 * r - 1
+    np.maximum(expo, corner, out=expo)
+    return _finish(spec, cells, _geometric(c, alpha, expo, 2 * r))
 
 
 def q_second_high(spec: BallSpec) -> StochasticMatrix:
@@ -210,15 +226,12 @@ def q_second_high(spec: BallSpec) -> StochasticMatrix:
         )
     alpha = alpha_high_root(n, r).value
     c = (alpha - 1.0) * alpha ** (-(n - r))
-    idx = np.arange(1, n + 1)
-    v = np.zeros(n)
-    left = idx <= n - r
-    right = idx >= r + 1
-    v[left] = (n - r) - idx[left]
-    v[right] = idx[right] - (r + 1)
+    idx = np.arange(n)  # i - 1
+    v = np.maximum(np.maximum((n - r - 1) - idx, idx - r), 0)
     cells = BandMatrix(spec).cells()
-    expo = v[cells[0]] + v[cells[1]]
-    return _finish(spec, cells, c * np.power(alpha, expo))
+    expo = v[cells[0]]
+    expo += v[cells[1]]
+    return _finish(spec, cells, _geometric(c, alpha, expo, 2 * (n - r - 1)))
 
 
 @dataclass(frozen=True)

@@ -223,9 +223,12 @@ class TestWorkModel:
             "closed-form": [oracle.CLOSED_S_PER_DIGIT2],
             "band-dp": [oracle.DP_S_PER_UNIT],
             "modular-dp": [
+                oracle.MODULAR_S_PER_CALL,
                 oracle.MODULAR_S_PER_CHOICE,
                 oracle.MODULAR_S_PER_BOUNDARY_UNIT,
+                oracle.MODULAR_S_PER_WIDE_UNIT,
                 oracle.MODULAR_S_PER_BULK_UNIT,
+                oracle.MODULAR_S_PER_BULK_MODULUS,
                 oracle.MODULAR_S_PER_JOIN_UNIT,
             ],
             "ryser": [oracle.SETUP_S, oracle.RYSER_S_PER_UNIT],
@@ -351,8 +354,27 @@ class TestDispatch:
         (tmp_path / "n5_r2.json").write_text((tmp_path / "n6_r2.json").read_text())
         with pytest.raises(ValidationError, match="holds n=6, r=2"):
             ball_size_exact(BallSpec(5, 2), cache=cache)
-        problems = cache.audit()
+        problems = cache.audit().problems
         assert len(problems) == 1 and "n5_r2.json holds n=6, r=2" in problems[0]
+
+    def test_audit_names_the_records_over_the_budget(self, tmp_path):
+        from permball.cache import ResultCache
+        from permball.verify import check_cache
+
+        cache = ResultCache(tmp_path)
+        over = BallSpec(100, 10)
+        assert applicable_backends(over) == []
+        # No backend recomputes this count within the budget, so its value
+        # goes unchecked; the audit names the record instead.
+        cache.put(over, 1, "modular-dp")
+        cache.put(BallSpec(6, 2), ball_size_exact(BallSpec(6, 2)), "band-dp")
+        report = cache.audit()
+        assert (report.problems, report.skipped) == ([], [over])
+        result = check_cache(tmp_path)
+        assert result.passed
+        assert result.detail == (
+            "ok; 1 record not recomputed: n=100, r=10 over the 3 s budget"
+        )
 
 
 def expected_first_backend(spec):

@@ -16,7 +16,7 @@ from permball.qmat import (
     q_second_low,
     sinkhorn_balance,
 )
-from permball.scalar import alpha_low_root
+from permball.scalar import alpha_high_root, alpha_low_root
 
 
 def exact_entries(q):
@@ -130,6 +130,61 @@ class TestSecondHigh:
             q_second_high(BallSpec(7, 3))
         with pytest.raises(DomainError):
             q_second_high(BallSpec(7, 6))
+
+
+class TestPerCellDefinitions:
+    """Each builder's values equal its per-cell definition, evaluated here
+    on a dense one-based (i, j) grid, bit for bit, for every n <= 40."""
+
+    SPECS = [BallSpec(n, r) for n in range(1, 41) for r in range(n)]
+
+    @staticmethod
+    def grid(spec):
+        i, j = np.indices((spec.n, spec.n)) + 1
+        return i, j, np.abs(i - j) <= spec.r
+
+    def test_first_class(self):
+        for spec in self.SPECS:
+            n, r = spec.n, spec.r
+            i, j, band = self.grid(spec)
+            if spec.low_range:
+                d, corners = 2 * r + 1, (i + j <= r + 1) | (i + j >= 2 * n - r + 1)
+            else:
+                d, corners = n, (i + j <= n - r) | (i + j >= n + r + 2)
+            num = np.where(corners, 2, 1)[band]
+            q = q_first_class(spec)
+            assert q.exact_denominator == d, spec
+            assert np.array_equal(q.exact_numerators, num), spec
+            assert np.array_equal(q.values, num / float(d)), spec
+
+    def test_second_low(self):
+        for spec in filter(lambda s: s.second_low_range, self.SPECS):
+            n, r = spec.n, spec.r
+            i, j, band = self.grid(spec)
+            expo = np.abs(i - j)
+            top = (i <= r + 1) & (j <= r + 1)
+            bottom = (i >= n - r) & (j >= n - r)
+            expo[top] = ((r + 1 - i) + (r + 1 - j))[top]
+            expo[bottom] = ((i - (n - r)) + (j - (n - r)))[bottom]
+            alpha = alpha_low_root(r).value
+            c = (alpha - 1.0) / (alpha + 1.0)
+            values = (c * np.power(alpha, expo))[band]
+            assert np.array_equal(q_second_low(spec).values, values), spec
+
+    def test_second_high(self):
+        for spec in filter(lambda s: s.second_high_range, self.SPECS):
+            n, r = spec.n, spec.r
+            i, j, band = self.grid(spec)
+            v = np.zeros(n + 1)
+            for k in range(1, n + 1):
+                if k <= n - r:
+                    v[k] = (n - r) - k
+                elif k >= r + 1:
+                    v[k] = k - (r + 1)
+            alpha = alpha_high_root(n, r).value
+            c = (alpha - 1.0) * alpha ** (-(n - r))
+            values = (c * np.power(alpha, v[i] + v[j]))[band]
+            assert np.array_equal(q_second_high(spec).values, values), spec
 
 
 BALANCE_CELLS = [
