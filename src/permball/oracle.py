@@ -39,6 +39,12 @@ if TYPE_CHECKING:
 # Python-integer DP and over the first ceil(n/2) for the residue DP.
 EXACT_MAX_SECONDS = 3.0
 DP_S_PER_UNIT = 1.9e-7
+# The band DP's Python-integer counts grow to the count's bits, so its
+# unit also costs this much per bit of the row degrees' product (2.3 bits
+# a column at r = 2, 3.2 at r = 4).  A flat unit under-predicted r = 1..4
+# cells 2-9x at n from 10^4 to 2*10^5; this term is set from the cells it
+# predicts at 3 s, (13900,4) to (286000,1), which ran 2.6-3.1 s.
+DP_S_PER_UNIT_BIT = 3.5e-12
 RYSER_S_PER_UNIT = 1.7e-7
 ENUMERATE_S_PER_UNIT = 2.1e-7
 # Ryser and enumeration also pay a fixed cost of about 30 us per call; it
@@ -86,16 +92,25 @@ def ball_size_enumerate(spec: BallSpec) -> int:
     """Count permutations within distance r of the identity one by one.
 
     A depth-first search places column i in each free row with
-    |p(i) - i| <= r; the last column completes one permutation per free
-    row of its window, so those are counted by popcount.
+    |p(i) - i| <= r, with no state beyond the rows used so far.  The last
+    two columns are counted in closed form: with F the free rows and W_i
+    column i's window, they complete |F & W_{n-2}| * |F & W_{n-1}| -
+    |F & W_{n-2} & W_{n-1}| permutations (pairs of rows, less those that
+    pick one row twice), three popcounts.
     """
     n, r = spec.n, spec.r
+    if n == 1:
+        return 1
     windows = [range(max(0, i - r), min(n, i + r + 1)) for i in range(n)]
-    last_window = sum(1 << row for row in windows[-1])
+    last = sum(1 << row for row in windows[-1])
+    second = sum(1 << row for row in windows[-2])
+    both = last & second
 
     def place(i: int, used: int) -> int:
-        if i == n - 1:
-            return (last_window & ~used).bit_count()
+        if i == n - 2:
+            free = ~used
+            pairs = (second & free).bit_count() * (last & free).bit_count()
+            return pairs - (both & free).bit_count()
         count = 0
         for row in windows[i]:
             bit = 1 << row
@@ -414,22 +429,29 @@ def _dp_work(spec: BallSpec, half: bool = False) -> tuple[float, float]:
     return _column_work(2 * r + 2, r, 2 * r + 2), (n - 2 * r - 2) * bulk
 
 
-def _moduli_count(n: int, r: int) -> int:
-    """len(_moduli(_degree_product)) without the product: the degrees'
-    log2 sum over the RESIDUE_BITS each modulus carries.  Past the first
-    2r+1 rows every row adds a degree of 2r+1."""
+def _degree_bits(n: int, r: int) -> float:
+    """log2 of ``_degree_product`` without the product, which bounds the
+    count's bits.  Past the first 2r+1 rows every row adds a degree of
+    2r+1."""
     m = min(n, 2 * r + 1)
     bits = sum(math.log2(min(m, i + r) - max(1, i - r) + 1) for i in range(1, m + 1))
-    bits += (n - m) * math.log2(2 * r + 1)
-    return int(bits // RESIDUE_BITS) + 1
+    return bits + (n - m) * math.log2(2 * r + 1)
+
+
+def _moduli_count(n: int, r: int) -> int:
+    """len(_moduli(_degree_product)) without the product: the degrees'
+    log2 sum over the RESIDUE_BITS each modulus carries."""
+    return int(_degree_bits(n, r) // RESIDUE_BITS) + 1
 
 
 def _predicted_seconds(spec: BallSpec) -> dict[str, float]:
     n, r = spec.n, spec.r
     half = (n + 1) // 2
     boundary, bulk = _dp_work(spec, half=True)
-    modular = math.inf
+    band = modular = math.inf
     if math.isfinite(boundary):
+        unit = DP_S_PER_UNIT + DP_S_PER_UNIT_BIT * _degree_bits(n, r)
+        band = unit * sum(_dp_work(spec))
         moduli = _moduli_count(n, r)
         wide = MODULAR_S_PER_WIDE_UNIT if 2 * r + 1 > 32 else 0.0
         modular = (
@@ -442,7 +464,7 @@ def _predicted_seconds(spec: BallSpec) -> dict[str, float]:
         )
     return {
         BACKEND_CLOSED: _closed_seconds(spec),
-        BACKEND_DP: DP_S_PER_UNIT * sum(_dp_work(spec)),
+        BACKEND_DP: band,
         BACKEND_MODULAR: modular,
         BACKEND_RYSER: _ryser_seconds(n),
         BACKEND_ENUMERATE: _enumerate_seconds(n),

@@ -11,8 +11,8 @@ rho.  In the high range its fixed point coincides with ``q_second_high``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -29,9 +29,34 @@ SINKHORN_MAX_ITER = 1_000
 Cells = tuple[np.ndarray, np.ndarray]
 
 
+# The band cells of the spec built last, as one tuple (spec, weakref to
+# rows, weakref to cols), so the three builders share one build per spec.
+# One read of the tuple never pairs a spec with another spec's cells, and
+# the weak references leave the cells' lifetime to the matrices on them.
+_shared_cells: tuple[BallSpec, weakref.ref, weakref.ref] | None = None
+
+
+def _band_cells(spec: BallSpec) -> Cells:
+    """``BandMatrix(spec).cells()``, read-only, and the same arrays for as
+    long as a matrix built on them is alive."""
+    global _shared_cells
+    entry = _shared_cells
+    if entry is not None and entry[0] == spec:
+        rows, cols = entry[1](), entry[2]()
+        if rows is not None and cols is not None:
+            return rows, cols
+    rows, cols = BandMatrix(spec).cells()
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    _shared_cells = (spec, weakref.ref(rows), weakref.ref(cols))
+    return rows, cols
+
+
 def _line_sums(cells: Cells, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column sums of the cell values x, in x's dtype, so integer
-    numerators sum exactly.  Each row's cells are one contiguous run."""
+    numerators sum exactly.  Each row's cells are one contiguous run.
+    ``np.bincount`` would copy read-only (shared) column indices and cast
+    integer numerators to float on every call; ``np.add.at`` does neither."""
     rows, cols = cells
     by_row = np.add.reduceat(x, np.searchsorted(rows, np.arange(n)))
     by_col = np.zeros(n, dtype=x.dtype)
@@ -166,13 +191,11 @@ def q_first_class(spec: BallSpec) -> StochasticMatrix:
     """
     n, r = spec.n, spec.r
     far, denominator = _first_class_corners(n, r, spec.low_range)
-    if spec.rho == Fraction(1, 2) and (far, denominator) != _first_class_corners(
-        n, r, False
-    ):
+    if 2 * r == n - 1 and (far, denominator) != _first_class_corners(n, r, False):
         raise ValidationError(
             f"regime-boundary mismatch for first-class matrix at n={n}, r={r}"
         )
-    cells = BandMatrix(spec).cells()
+    cells = _band_cells(spec)
     num = _mirror_distance(cells, n)
     np.greater_equal(num, far, out=num)
     num += 1
@@ -201,7 +224,7 @@ def q_second_low(spec: BallSpec) -> StochasticMatrix:
         )
     alpha = alpha_low_root(r).value
     c = (alpha - 1.0) / (alpha + 1.0)
-    cells = BandMatrix(spec).cells()
+    cells = _band_cells(spec)
     expo = cells[0] - cells[1]
     np.abs(expo, out=expo)
     corner = _mirror_distance(cells, n)
@@ -228,7 +251,7 @@ def q_second_high(spec: BallSpec) -> StochasticMatrix:
     c = (alpha - 1.0) * alpha ** (-(n - r))
     idx = np.arange(n)  # i - 1
     v = np.maximum(np.maximum((n - r - 1) - idx, idx - r), 0)
-    cells = BandMatrix(spec).cells()
+    cells = _band_cells(spec)
     expo = v[cells[0]]
     expo += v[cells[1]]
     return _finish(spec, cells, _geometric(c, alpha, expo, 2 * (n - r - 1)))

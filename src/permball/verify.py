@@ -138,7 +138,9 @@ def _double_stochasticity(max_n: int) -> str | None:
             # ``first`` stays bound until the next spec's matrix replaces
             # it.  Dropping it at once let the allocator hand the heap
             # back between specs and fault it in again: 2.5x the minor
-            # page faults and twice the system time per call.
+            # page faults and twice the system time per call.  It also
+            # keeps the spec's band cells alive, so the second-class
+            # builders share them instead of building their own.
             first = q_first_class(spec)
             if not first.is_symmetric():
                 return f"first-class asymmetry at n={n}, r={r}"

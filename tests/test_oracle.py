@@ -40,6 +40,16 @@ class TestEnumerate:
         assert ball_size_enumerate(BallSpec(4, 3)) == 24
         assert ball_size_enumerate(BallSpec(5, 0)) == 1
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_one_pass_over_all_permutations(self, n):
+        # An independent reference: a permutation lies in the ball of
+        # radius r exactly when max |p(i) - i| <= r.
+        by_distance = [0] * n
+        for p in itertools.permutations(range(n)):
+            by_distance[max(abs(row - i) for i, row in enumerate(p))] += 1
+        counts = [ball_size_enumerate(BallSpec(n, r)) for r in range(n)]
+        assert counts == list(itertools.accumulate(by_distance))
+
 
 class TestRyser:
     def test_all_ones_and_identity(self):
@@ -211,6 +221,11 @@ class TestWorkModel:
                 bound = oracle._degree_product(BallSpec(n, r))
                 assert oracle._moduli_count(n, r) == len(oracle._moduli(bound)), (n, r)
 
+    def test_band_dp_prices_the_counts_growing_bits(self):
+        # (286000, 1) ran 3.1 s, where 1.9e-7 s a unit alone predicts 0.33 s.
+        assert oracle.applicable_backends(BallSpec(250000, 1)) == ["band-dp"]
+        assert oracle.applicable_backends(BallSpec(300000, 1)) == []
+
     def test_readme_prints_the_fitted_constants(self):
         # The predicted-seconds column of the README's backend table.
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -221,7 +236,7 @@ class TestWorkModel:
         }
         assert printed == {
             "closed-form": [oracle.CLOSED_S_PER_DIGIT2],
-            "band-dp": [oracle.DP_S_PER_UNIT],
+            "band-dp": [oracle.DP_S_PER_UNIT, oracle.DP_S_PER_UNIT_BIT],
             "modular-dp": [
                 oracle.MODULAR_S_PER_CALL,
                 oracle.MODULAR_S_PER_CHOICE,

@@ -1,5 +1,7 @@
 """Doubly-stochastic constructions and Sinkhorn balancing."""
 
+import dataclasses
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permball import qmat
+from permball import qmat, verify
 from permball.core import BallSpec, BandMatrix
 from permball.errors import ConvergenceError, DomainError
 from permball.qmat import (
@@ -185,6 +187,76 @@ class TestPerCellDefinitions:
             c = (alpha - 1.0) * alpha ** (-(n - r))
             values = (c * np.power(alpha, v[i] + v[j]))[band]
             assert np.array_equal(q_second_high(spec).values, values), spec
+
+
+BATTERY_SPECS_TO_40 = [
+    BallSpec(n, r) for n in range(1, 41) for r in verify._battery_radii(n)
+]
+
+
+def battery_matrices(spec):
+    yield q_first_class(spec)
+    if spec.second_low_range:
+        yield q_second_low(spec)
+    if spec.second_high_range:
+        yield q_second_high(spec)
+
+
+class TestLineSums:
+    @staticmethod
+    def columns_by_add_at(cells, x, n):
+        by_col = np.zeros(n, dtype=x.dtype)
+        np.add.at(by_col, cells[1], x)
+        return by_col
+
+    def test_column_sums_match_add_at_bit_for_bit(self):
+        # Column sums are added in cell order: any other way of taking
+        # them must keep every float sum and residual to the bit.
+        rng = np.random.default_rng(20)
+        for spec in BATTERY_SPECS_TO_40:
+            for q in battery_matrices(spec):
+                inputs = [q.values, rng.random(q.values.size)]
+                if q.is_exact:
+                    inputs.append(q.exact_numerators)
+                for x in inputs:
+                    _, by_col = qmat._line_sums(q.cells, x, spec.n)
+                    expected = self.columns_by_add_at(q.cells, x, spec.n)
+                    assert by_col.tobytes() == expected.tobytes(), spec
+
+    def test_exact_check_catches_one_moved_numerator(self):
+        rng = np.random.default_rng(21)
+        for spec in BATTERY_SPECS_TO_40:
+            q = q_first_class(spec)
+            assert q.exactly_doubly_stochastic(), spec
+            moved = q.exact_numerators.copy()
+            moved[rng.integers(moved.size)] += 1
+            broken = dataclasses.replace(q, exact_numerators=moved)
+            assert not broken.exactly_doubly_stochastic(), spec
+
+
+class TestSharedCells:
+    @staticmethod
+    def check_cells(matrices):
+        for q in matrices:
+            for got, expected in zip(q.cells, BandMatrix(q.spec).cells()):
+                assert np.array_equal(got, expected), q.spec
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = 1
+
+    def test_one_read_only_build_per_spec_that_matrices_alone_keep(self):
+        a, b = BallSpec(12, 3), BallSpec(12, 4)
+        built = [q_first_class(a), q_first_class(b), q_second_low(b)]
+        built += [q_first_class(a), q_second_low(a)]
+        self.check_cells(built)
+        # A builder reuses the cells of the spec built last while a
+        # matrix on them is alive; a spec built again gets a fresh build.
+        assert built[1].cells[0] is built[2].cells[0]
+        assert built[3].cells[1] is built[4].cells[1]
+        assert built[0].cells[0] is not built[3].cells[0]
+        del built
+        gc.collect()
+        spec, rows, cols = qmat._shared_cells
+        assert spec == a and rows() is None and cols() is None
 
 
 BALANCE_CELLS = [
