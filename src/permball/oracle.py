@@ -49,20 +49,29 @@ ENUMERATE_S_PER_UNIT = 2.1e-7
 # Ryser and enumeration also pay a fixed cost of about 30 us per call; it
 # keeps cells with n <= 5 on the Python-integer band DP.
 SETUP_S = 3.0e-5
-# The residue DP pays a fixed cost per call (its moduli, first arrays, the
-# join and the CRT) and one set of numpy calls per column and row choice.
-# A unit of the boundary columns, which build their own transfer maps,
-# costs its share of a build.  The bulk columns share one map, so their
-# cost is per modulus: a unit gathers and sums one count, at a cost that
-# grows with the log2 C(2r, r) bits of the bulk state count as the counts
-# outgrow the caches, and each bulk state's counts are reduced once per
-# column.  The fit weighs cells over 0.3 s 3x and over 1 s 10x, since
-# admission turns on them.
-MODULAR_S_PER_CALL = 1.6e-4
-MODULAR_S_PER_CHOICE = 3.4e-6
-MODULAR_S_PER_BOUNDARY_UNIT = 2.3e-8
-MODULAR_S_PER_BULK_MODULUS_BIT = 4.3e-11
-MODULAR_S_PER_BULK_STATE_MODULUS = 4.9e-9
+# The residue DP pays a fixed cost per call (its moduli, first arrays,
+# the join and the CRT) and one set of numpy calls per column and row
+# choice, each of which also moves rows of k residues, one per modulus
+# (which counts where r <= 2 at large n puts thousands of moduli through
+# a few states).  A unit costs more in the boundary columns, which build
+# their own transfer maps, than in the bulk columns, which share one:
+# each build sorts and searches its next states, so a boundary unit also
+# pays per bit of the largest state count of the band.  A bulk unit moves
+# one count per modulus, at a cost that grows with the log2 C(2r, r) bits
+# of the bulk state count as the counts outgrow the caches.  The fit
+# weighs cells over 0.3 s 3x and over 1 s 30x, and over 1 s it is an
+# upper expectile (an under-predicted cell weighs 0.8, an over-predicted
+# one 0.2), since admitting a slow cell costs more than refusing a fast
+# one.  Below 0.1 s it fits the ratios to band-dp's prediction that
+# paired timings measured, which is what routes those cells.
+MODULAR_S_PER_CALL = 8.4e-5
+MODULAR_S_PER_CHOICE = 7.0e-6
+MODULAR_S_PER_CHOICE_MODULUS = 5.6e-9
+MODULAR_S_PER_BOUNDARY_UNIT = 3.2e-8
+MODULAR_S_PER_BOUNDARY_UNIT_BIT = 1.2e-9
+MODULAR_S_PER_BULK_UNIT = 6.8e-9
+MODULAR_S_PER_BULK_MODULUS = 3.3e-10
+MODULAR_S_PER_BULK_MODULUS_BIT = 5.7e-11
 # The closed form n! costs its decimal conversion, which is quadratic in
 # the digits (about 3.4 s for the 456,574 digits of 100000!).
 CLOSED_S_PER_DIGIT2 = 1.8e-11
@@ -193,15 +202,12 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
     the middle column and joined with its mirror image.
 
     States are a sorted array of the same window masks, uint32 where their
-    2r+1 bits fit and uint64 otherwise.  Counts are an int64 (states, k)
-    array, one column per modulus.  Each column's moves are grouped by the
-    state they reach (``_modular_column``), so a column is one gather of
-    the counts, one sum per group and one reduction (``_transfer``); the
-    bulk columns share one map.  The band is symmetric under i -> n+1-i,
-    so columns h+1..n, read backwards, are columns 1..n-h of the same
-    band: with h = ceil(n/2), the count is the sum over the states S after
-    column h of F_h(S) * F_{n-h}(mirror(S)) (``_mirror``), one sweep
-    giving both F.
+    2r+1 bits fit and uint64 otherwise.  Counts are
+    an int64 (states, k) array, one column per modulus, reduced once per
+    column.  The band is symmetric under i -> n+1-i, so columns h+1..n,
+    read backwards, are columns 1..n-h of the same band: with h =
+    ceil(n/2), the count is the sum over the states S after column h of
+    F_h(S) * F_{n-h}(mirror(S)) (``_mirror``), one sweep giving both F.
     The Chinese remainder theorem rebuilds the integer from its residues.
     The k moduli multiply past the product of the row degrees, which
     bounds the permanent, so the rebuilt integer is the exact count.
@@ -212,20 +218,12 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
             f"modular band DP at r={r} needs {2 * r + 1}-bit state masks; "
             "its uint64 masks hold 64 bits (r <= 31)"
         )
-    half = (n + 1) // 2
-    # The columns after r+1 have column r+1's window and states.
-    for j in range(1, min(half, r + 1) + 1):
-        key_bits = _window_rows(n, r, j) + _index_bits(_states_after(n, r, j - 1))
-        if key_bits > 64:
-            raise CapacityError(
-                f"modular band DP at n={n}, r={r} needs {key_bits}-bit sort keys "
-                f"at column {j}; its uint64 keys hold 64 bits"
-            )
     moduli = _moduli(_degree_product(spec))
     divisors = np.array(moduli, dtype=np.int64)
     mask_type = np.uint32 if 2 * r + 1 <= 32 else np.uint64
     states = np.array([(1 << r) - 1], dtype=mask_type)
     counts = np.ones((1, len(moduli)), dtype=np.int64)
+    half = (n + 1) // 2
     # The vector after column n - half, which is column 0 at n = 1.
     mirrored = states, counts
     bulk = None
@@ -242,7 +240,12 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
             # Free the last column's map before building this one.
             bulk = moves = None
             states, moves = _modular_column(states, n, r, j)
-        counts = _transfer(counts, moves, divisors)
+        out = np.zeros((states.size, len(moduli)), dtype=np.int64)
+        for src, dst in moves:
+            # Each row choice maps states one-to-one, so dst has no repeats.
+            out[dst] += counts[src]
+        out %= divisors
+        counts = out
         if j == n - half:
             mirrored = states, counts
     # Free the last maps before the join.
@@ -263,15 +266,6 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
 LIMB_BITS = RESIDUE_BITS // 2
 JOIN_TERMS = (1 << 63 - 2 * LIMB_BITS) - 1
 JOIN_CHUNK = 8 * JOIN_TERMS
-# numpy's reduceat adds a group one residue column at a time, so past
-# this many moduli adding whole rows a layer at a time is faster: with 62
-# moduli (1000,5) took 0.10 s layered against 0.16 s by reduceat, and with
-# 23, (300,9) took 3.5 s against 2.6 s.
-LAYERED_MODULI = 32
-# A gathered block of 2^16 residues (512 KiB) stays in cache until it is
-# summed: (100,10) took 1.5 s against 2.1-2.4 s with blocks as large as
-# the new counts, and (100,9) 0.3 s against 0.45 s.
-GATHER_RESIDUES = 1 << 16
 _REVERSED_BYTES = np.array(
     [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
 )
@@ -341,100 +335,35 @@ def _residue_dot(left: np.ndarray, right: np.ndarray) -> list[int]:
     return totals
 
 
-def _transfer(
-    counts: np.ndarray, moves: tuple[np.ndarray, np.ndarray], divisors: np.ndarray
-) -> np.ndarray:
-    """The counts after a column: each next state's group of moves (see
-    ``_modular_column``) summed and reduced.
-
-    With fewer than LAYERED_MODULI moduli the counts are gathered a block
-    of next states at a time and each group is summed by
-    ``np.add.reduceat``.  A block holds about as many moves as there are
-    next states, so a gather is no larger than the new counts, and at most
-    GATHER_RESIDUES residues.  With more moduli, the groups' t-th moves
-    are added a layer at a time, whole rows at once.
-    """
-    sources, offsets = moves
-    if counts.shape[1] >= LAYERED_MODULI:
-        sizes = np.diff(offsets)
-        out = counts.take(sources[offsets[:-1]], axis=0)
-        for t in range(1, sizes.max()):
-            at = (sizes > t).nonzero()[0]
-            out[at] += counts.take(sources[offsets[at] + t], axis=0)
-        out %= divisors
-        return out
-    size = offsets.size - 1
-    out = np.empty((size, counts.shape[1]), dtype=np.int64)
-    step = max(1, min(size, GATHER_RESIDUES // counts.shape[1]))
-    edges = offsets.searchsorted(np.arange(0, sources.size, step)).tolist()
-    for a, b in zip(edges, edges[1:] + [size]):
-        if a < b:
-            first, last = offsets[a], offsets[b]
-            gathered = counts.take(sources[first:last], axis=0)
-            np.add.reduceat(gathered, offsets[a:b] - first, axis=0, out=out[a:b])
-            # Free this block's gather before the next one is taken.
-            del gathered
-    out %= divisors
-    return out
-
-
 def _modular_column(
     states: np.ndarray, n: int, r: int, j: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Column j of the band DP on sorted masks: the sorted next states and
-    the column's moves grouped by the next state they reach, as the int32
-    source index of each move in group order and the offset of each
-    group, the move count appended.
-
-    A move's uint64 sort key is the window rows inside 1..n of its next
-    state above the index of its source.  The next state's other bits,
-    rows outside 1..n and row j+r+1, are the same for every move, so the
-    keys sort as the next states do and one in-place sort groups the
-    moves.  The build peaks at the sorted keys, the int32 sources and a
-    flag per move, about 13 bytes a move with either mask width.
-    """
-    low = max(0, r - j)  # bits of the rows j+1-r..0, set in every next state
-    rows = (1 << _window_rows(n, r, j)) - 1
-    shift = _index_bits(states.size)
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Column j of the band DP on sorted masks: the sorted next states and,
+    per row choice, the source and destination indices it moves."""
     base = j - r
-    bits = range(max(1, base) - base, min(n, j + r) - base + 1)
-    # A move matches a free row, and the window then drops bit 0's row,
-    # so bit 0 is the move's row when it is free and must be set otherwise.
-    by_choice = [
-        ((states & ((1 << bit) | 1)) == int(bit > 0)).nonzero()[0].astype(np.int32)
-        for bit in bits
-    ]
-    # The next state's rows (s | 1 << bit) >> 1 split over the OR.
-    lifted = states.astype(np.uint64) >> (1 + low)
-    lifted &= rows
-    lifted <<= shift
-    keys = np.empty(sum(src.size for src in by_choice), dtype=np.uint64)
-    at = 0
-    for i, bit in enumerate(bits):
-        src, by_choice[i] = by_choice[i], None
-        key = keys[at : at + src.size]
-        lifted.take(src, out=key)
-        key |= ((1 << bit) >> (1 + low) & rows) << shift
-        np.bitwise_or(key, src, out=key, dtype=np.uint64, casting="unsafe")
-        at += src.size
-    del lifted, src, key
-    keys.sort()
-    sources = np.empty(keys.size, dtype=np.int32)
-    np.bitwise_and(keys, (1 << shift) - 1, out=sources, casting="unsafe")
-    keys >>= shift
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    offsets = np.append(first.nonzero()[0], keys.size)
-    del first
     top = 1 << (2 * r) if j + 1 + r > n else 0
-    fixed = (((1 << (2 * r)) - 1) | top) & ~(rows << low)
-    nxt = ((keys[offsets[:-1]] << low) | fixed).astype(states.dtype)
-    return nxt, (sources, offsets)
-
-
-def _index_bits(size: int) -> int:
-    """Bits of the indices 0..size-1, at least one."""
-    return max(1, (size - 1).bit_length())
+    odd = (states & 1).astype(bool)
+    sources, targets = [], []
+    for bit in range(max(1, base) - base, min(n, j + r) - base + 1):
+        free = (states & (1 << bit)) == 0
+        src = (free if bit == 0 else free & odd).nonzero()[0]
+        sources.append(src.astype(np.int32))
+        targets.append(((states[src] | (1 << bit)) >> 1) | top)
+    # Sort and drop neighbour repeats (np.unique would import numpy.ma).
+    merged = np.concatenate(targets)
+    merged.sort()
+    keep = np.ones(merged.size, dtype=bool)
+    keep[1:] = merged[1:] != merged[:-1]
+    nxt = merged[keep]
+    del merged, keep
+    # int32 indices and dropping each choice's masks once it is ranked
+    # keep the peak memory near 17 bytes per move with uint32 masks (26
+    # with uint64).
+    moves = []
+    for i, src in enumerate(sources):
+        moves.append((src, nxt.searchsorted(targets[i]).astype(np.int32)))
+        targets[i] = None
+    return nxt, moves
 
 
 def _moduli(bound: int) -> list[int]:
@@ -479,16 +408,11 @@ def _closed_seconds(spec: BallSpec) -> float:
     return CLOSED_S_PER_DIGIT2 * digits * digits
 
 
-def _window_rows(n: int, r: int, j: int) -> int:
-    """The window rows max(1, j-r+1)..min(n, j+r) inside 1..n after column
-    j."""
-    return min(n, j + r) - max(1, j - r + 1) + 1
-
-
 def _states_after(n: int, r: int, j: int) -> int:
     """The band DP's state count after column j: which min(j, r) of the
-    window rows are matched (every row below is)."""
-    return math.comb(_window_rows(n, r, j), min(j, r))
+    window rows max(1, j-r+1)..min(n, j+r) are matched (every row below
+    is)."""
+    return math.comb(min(n, j + r) - max(1, j - r + 1) + 1, min(j, r))
 
 
 @functools.cache
@@ -517,15 +441,14 @@ def _dp_work(spec: BallSpec, half: bool = False) -> tuple[float, float]:
     columns.
 
     Both are infinite where the states after column min(r, n // 2), the
-    most any column holds, alone are over the time budget at a boundary
-    unit's rate, the least the column that makes them costs a state; such
-    cells skip the sum.
+    most any column holds, alone are over the time budget at the cheapest
+    rate; such cells skip the sum.
     """
     n, r = spec.n, spec.r
     peak = min(r, n // 2)
     # C(66, 33) states are far past the budget; skip counting them.
     if peak > 32 or (
-        _states_after(n, r, peak) * MODULAR_S_PER_BOUNDARY_UNIT > EXACT_MAX_SECONDS
+        _states_after(n, r, peak) * MODULAR_S_PER_BULK_UNIT > EXACT_MAX_SECONDS
     ):
         return math.inf, math.inf
     last = (n + 1) // 2 if half else n
@@ -561,16 +484,21 @@ def _predicted_seconds(spec: BallSpec) -> dict[str, float]:
         unit = DP_S_PER_UNIT + DP_S_PER_UNIT_BIT * _degree_bits(n, r)
         band = unit * sum(_dp_work(spec))
         moduli = _moduli_count(n, r)
-        # A bulk column reads C(2r, r) states and tries 2r+1 rows a state.
-        per_modulus = (
-            MODULAR_S_PER_BULK_MODULUS_BIT * math.log2(math.comb(2 * r, r))
-            + MODULAR_S_PER_BULK_STATE_MODULUS / (2 * r + 1)
-        )
+        peak_bits = math.log2(max(2, _states_after(n, r, min(r, n // 2))))
+        bulk_bits = math.log2(math.comb(2 * r, r))
         modular = (
             MODULAR_S_PER_CALL
-            + MODULAR_S_PER_CHOICE * half * (2 * r + 1)
-            + MODULAR_S_PER_BOUNDARY_UNIT * boundary
-            + per_modulus * moduli * bulk
+            + (MODULAR_S_PER_CHOICE + MODULAR_S_PER_CHOICE_MODULUS * moduli)
+            * half
+            * (2 * r + 1)
+            + (MODULAR_S_PER_BOUNDARY_UNIT + MODULAR_S_PER_BOUNDARY_UNIT_BIT * peak_bits)
+            * boundary
+            + (
+                MODULAR_S_PER_BULK_UNIT
+                + (MODULAR_S_PER_BULK_MODULUS + MODULAR_S_PER_BULK_MODULUS_BIT * bulk_bits)
+                * moduli
+            )
+            * bulk
         )
     return {
         BACKEND_CLOSED: _closed_seconds(spec),
