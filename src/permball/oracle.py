@@ -60,18 +60,18 @@ SETUP_S = 3.0e-5
 # one count per modulus, at a cost that grows with the log2 C(2r, r) bits
 # of the bulk state count as the counts outgrow the caches.  The fit
 # weighs cells over 0.3 s 3x and over 1 s 30x, and over 1 s it is an
-# upper expectile (an under-predicted cell weighs 0.8, an over-predicted
-# one 0.2), since admitting a slow cell costs more than refusing a fast
+# upper expectile (an under-predicted cell weighs 0.9, an over-predicted
+# one 0.1), since admitting a slow cell costs more than refusing a fast
 # one.  Below 0.1 s it fits the ratios to band-dp's prediction that
 # paired timings measured, which is what routes those cells.
-MODULAR_S_PER_CALL = 8.4e-5
-MODULAR_S_PER_CHOICE = 7.0e-6
-MODULAR_S_PER_CHOICE_MODULUS = 5.6e-9
-MODULAR_S_PER_BOUNDARY_UNIT = 3.2e-8
-MODULAR_S_PER_BOUNDARY_UNIT_BIT = 1.2e-9
-MODULAR_S_PER_BULK_UNIT = 6.8e-9
-MODULAR_S_PER_BULK_MODULUS = 3.3e-10
-MODULAR_S_PER_BULK_MODULUS_BIT = 5.7e-11
+MODULAR_S_PER_CALL = 1.0e-4
+MODULAR_S_PER_CHOICE = 6.1e-6
+MODULAR_S_PER_CHOICE_MODULUS = 5.1e-9
+MODULAR_S_PER_BOUNDARY_UNIT = 1.6e-8
+MODULAR_S_PER_BOUNDARY_UNIT_BIT = 1.3e-9
+MODULAR_S_PER_BULK_UNIT = 2.6e-9
+MODULAR_S_PER_BULK_MODULUS = 3.2e-10
+MODULAR_S_PER_BULK_MODULUS_BIT = 5.1e-11
 # The closed form n! costs its decimal conversion, which is quadratic in
 # the digits (about 3.4 s for the 456,574 digits of 100000!).
 CLOSED_S_PER_DIGIT2 = 1.8e-11
@@ -242,8 +242,14 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
             states, moves = _modular_column(states, n, r, j)
         out = np.zeros((states.size, len(moduli)), dtype=np.int64)
         for src, dst in moves:
-            # Each row choice maps states one-to-one, so dst has no repeats.
-            out[dst] += counts[src]
+            # Each row choice maps states one-to-one, so dst has no repeats
+            # and one assignment adds the rows; take gathers rows about
+            # twice as fast as fancy indexing.
+            add = counts.take(src, axis=0)
+            add += out.take(dst, axis=0)
+            out[dst] = add
+        # Free the last gather before the next map is built.
+        del add
         out %= divisors
         counts = out
         if j == n - half:
@@ -441,14 +447,15 @@ def _dp_work(spec: BallSpec, half: bool = False) -> tuple[float, float]:
     columns.
 
     Both are infinite where the states after column min(r, n // 2), the
-    most any column holds, alone are over the time budget at the cheapest
-    rate; such cells skip the sum.
+    most any column holds, alone are over the time budget at a boundary
+    unit's rate, the least the column that makes them costs a state; such
+    cells skip the sum.
     """
     n, r = spec.n, spec.r
     peak = min(r, n // 2)
     # C(66, 33) states are far past the budget; skip counting them.
     if peak > 32 or (
-        _states_after(n, r, peak) * MODULAR_S_PER_BULK_UNIT > EXACT_MAX_SECONDS
+        _states_after(n, r, peak) * MODULAR_S_PER_BOUNDARY_UNIT > EXACT_MAX_SECONDS
     ):
         return math.inf, math.inf
     last = (n + 1) // 2 if half else n

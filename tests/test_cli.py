@@ -455,11 +455,11 @@ class TestVerifyCommand:
         from permball.cache import ResultCache
         from permball.core import BallSpec
 
-        ResultCache(tmp_path).put(BallSpec(100, 10), 1, "modular-dp")
+        ResultCache(tmp_path).put(BallSpec(100, 11), 1, "modular-dp")
         code, out, _ = run(capsys, "verify", "--level", "quick",
                            "--cache-dir", str(tmp_path))
         assert code == 0
-        assert "ok; 1 record not recomputed: n=100, r=10 over the 3 s budget" in out
+        assert "ok; 1 record not recomputed: n=100, r=11 over the 3 s budget" in out
 
     def test_tampered_cache_exits_four(self, capsys, tmp_path):
         # A wrong count is served by exact and caught by the audit; a count
