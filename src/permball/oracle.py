@@ -202,12 +202,14 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
     the middle column and joined with its mirror image.
 
     States are a sorted array of the same window masks, uint32 where their
-    2r+1 bits fit and uint64 otherwise.  Counts are
-    an int64 (states, k) array, one column per modulus, reduced once per
-    column.  The band is symmetric under i -> n+1-i, so columns h+1..n,
-    read backwards, are columns 1..n-h of the same band: with h =
-    ceil(n/2), the count is the sum over the states S after column h of
-    F_h(S) * F_{n-h}(mirror(S)) (``_mirror``), one sweep giving both F.
+    2r+1 bits fit and uint64 otherwise.  Counts are an int64 (states, k)
+    array, one column per modulus, reduced once per column; each row
+    choice of a column adds its source rows to their next states' rows.
+    The band is symmetric under i -> n+1-i, so columns h+1..n, read
+    backwards, are columns 1..n-h of the same band: with h = ceil(n/2),
+    the count is the sum over the states S after column h of
+    F_h(S) * F_{n-h}(mirror(S)) (``_mirror``), one sweep giving both F,
+    whose residue products ``_residue_dot`` sums in 28-bit limbs.
     The Chinese remainder theorem rebuilds the integer from its residues.
     The k moduli multiply past the product of the row degrees, which
     bounds the permanent, so the rebuilt integer is the exact count.
@@ -243,8 +245,8 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
         out = np.zeros((states.size, len(moduli)), dtype=np.int64)
         for src, dst in moves:
             # Each row choice maps states one-to-one, so dst has no repeats
-            # and one assignment adds the rows; take gathers rows about
-            # twice as fast as fancy indexing.
+            # and one assignment adds the rows; take gathers rows 1.3-2x
+            # as fast as fancy indexing.
             add = counts.take(src, axis=0)
             add += out.take(dst, axis=0)
             out[dst] = add

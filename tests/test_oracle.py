@@ -187,8 +187,9 @@ class TestModularDP:
             tracemalloc.stop()
         assert peak < 4_000_000
 
-    # The traced peaks with the Python-integer join, 1.71 and 1.17 MiB,
-    # plus 5%: the limb join's chunked temporaries stay within them.
+    # The peaks of the fancy-indexed sweep with the Python-integer join,
+    # 1.71 and 1.17 MiB, plus 5%: the row gathers and the limb join's
+    # chunked temporaries stay within them.
     @pytest.mark.parametrize("n, r, bound", [(16, 13, 1_883_000), (100, 7, 1_288_000)])
     def test_traced_peak_memory(self, n, r, bound):
         tracemalloc.start()
@@ -289,13 +290,13 @@ class TestWorkModel:
 
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         row = re.search(r"^\| modular-dp +\|[^|]+\|([^|]+)\|", readme, re.M)[1]
-        (every,) = re.findall(r"every r at n <= (\d[\d,]*\d|\d)", row)
+        value = r"(\d[\d,]*\d|\d)"
+        (every,) = re.findall(rf"every r at n <= {value}", row)
         a = number(every)
         assert all(admitted(a, r) for r in range(a))
         assert not all(admitted(a + 1, r) for r in range(a + 1))
-        number_ = r"(\d[\d,]*\d|\d)"
-        bands = re.findall(rf"r <= (\d+) at n = {number_}(?:\.\.{number_})?", row)
-        reaches = re.findall(rf"r = (\d+) to n = {number_}", row)
+        bands = re.findall(rf"r <= (\d+) at n = {value}(?:\.\.{value})?", row)
+        reaches = re.findall(rf"r = (\d+) to n = {value}", row)
         assert bands and reaches
         for radius, first, last in bands:
             r, a, b = int(radius), number(first), number(last or first)
