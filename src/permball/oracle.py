@@ -6,10 +6,9 @@ integers, the same DP in numpy residues modulo several coprime moduli,
 swept only to the middle column and joined with its mirror image,
 Ryser's inclusion-exclusion permanent over the band's column windows, and
 a depth-first enumeration of the permutations inside the band.
-``ball_size_exact`` dispatches to the backend predicted to be fastest, or
-runs all of them and insists they agree.  The DP predictions count the
-states each column actually holds, which is fewer than C(2r, r) near the
-edges of the band and wherever 2r+1 nears n.
+``ball_size_exact`` runs the closed form where it applies, else the band
+DP predicted to be faster; verifying, it runs every admitted backend and
+insists they agree.
 """
 
 from __future__ import annotations
@@ -27,15 +26,13 @@ from .errors import CapacityError, ValidationError, VerificationError
 if TYPE_CHECKING:
     from .cache import ResultCache
 
-# One documented capacity limit: the dispatcher uses a backend only where
-# its predicted run time is at most EXACT_MAX_SECONDS, and prefers the one
-# predicted fastest.  The backends themselves count whatever they are
-# given.  Each prediction is a least-squares fit (in
-# relative error) of run times measured on a 2-vCPU Intel Xeon host, in
-# work units: one unit is one inner-loop step, n! * n for enumeration,
-# 2^n * n for Ryser and, for either band DP, the states each column reads
-# times the rows it tries (``_dp_work``), over all n columns for the
-# Python-integer DP and over the first ceil(n/2) for the residue DP.
+# One documented capacity limit: the dispatcher admits a backend only
+# where it should count the spec within EXACT_MAX_SECONDS; the backends
+# themselves count whatever they are given.  A band DP's predicted time
+# is a least-squares fit (in relative error) of times measured on a 2-vCPU
+# Intel Xeon host, per ``_dp_work`` unit: a state a column holds times a
+# row it tries, over all n columns for the Python-integer DP and the first
+# ceil(n/2) for the residue DP.
 EXACT_MAX_SECONDS = 3.0
 DP_S_PER_UNIT = 1.9e-7
 # The band DP's Python-integer counts grow to the count's bits, so its
@@ -44,11 +41,6 @@ DP_S_PER_UNIT = 1.9e-7
 # cells 2-9x at n from 10^4 to 2*10^5; this term is set from the cells it
 # predicts at 3 s, (13900,4) to (286000,1), which ran 2.6-3.1 s.
 DP_S_PER_UNIT_BIT = 3.5e-12
-RYSER_S_PER_UNIT = 1.7e-7
-ENUMERATE_S_PER_UNIT = 2.1e-7
-# Ryser and enumeration also pay a fixed cost of about 30 us per call; it
-# keeps cells with n <= 5 on the Python-integer band DP.
-SETUP_S = 3.0e-5
 # The residue DP pays a fixed cost per call (its moduli, first arrays,
 # the join and the CRT) and one set of numpy calls per column and row
 # choice, each of which also moves rows of k residues, one per modulus
@@ -72,9 +64,14 @@ MODULAR_S_PER_BOUNDARY_UNIT_BIT = 1.3e-9
 MODULAR_S_PER_BULK_UNIT = 2.6e-9
 MODULAR_S_PER_BULK_MODULUS = 3.2e-10
 MODULAR_S_PER_BULK_MODULUS_BIT = 5.1e-11
-# The closed form n! costs its decimal conversion, which is quadratic in
-# the digits (about 3.4 s for the 456,574 digits of 100000!).
-CLOSED_S_PER_DIGIT2 = 1.8e-11
+# The other backends are admitted by n alone.  On that host Ryser takes
+# 0.9 s at n = 19 and 1.2-1.9 s at n = 20, enumeration 0.85 s at (10, 9).
+RYSER_MAX_N = 19
+ENUMERATE_MAX_N = 9
+# n! costs its decimal conversions, quadratic in the digits, and the CLI
+# makes two: one for the cache record and one for stdout.  A cold `exact
+# --n 65000 --r 64999` takes 2.9 s there (3.1 s at n = 66,000).
+FACTORIAL_MAX_N = 65_000
 
 # Residues stay below 2^56, so the at most 2r+1 of them added into one
 # count before the next reduction fit in int64 for every r <= 63; the
@@ -392,30 +389,6 @@ def _degree_product(spec: BallSpec) -> int:
     return math.prod(min(n, i + r) - max(1, i - r) + 1 for i in range(1, n + 1))
 
 
-# The clamps below keep each prediction a finite float where the count is
-# far over the budget anyway: 20! * 20 and 2^64 * 64 units are years of
-# work at any of the rates above.
-
-
-def _enumerate_seconds(n: int) -> float:
-    n = min(n, 20)
-    return SETUP_S + ENUMERATE_S_PER_UNIT * math.factorial(n) * n
-
-
-def _ryser_seconds(n: int) -> float:
-    n = min(n, 64)
-    return SETUP_S + RYSER_S_PER_UNIT * (n << n)
-
-
-def _closed_seconds(spec: BallSpec) -> float:
-    if spec.r == 0:
-        return 0.0
-    if spec.r != spec.n - 1:
-        return math.inf
-    digits = math.lgamma(spec.n + 1) / math.log(10)
-    return CLOSED_S_PER_DIGIT2 * digits * digits
-
-
 def _states_after(n: int, r: int, j: int) -> int:
     """The band DP's state count after column j: which min(j, r) of the
     window rows max(1, j-r+1)..min(n, j+r) are matched (every row below
@@ -509,21 +482,11 @@ def _predicted_seconds(spec: BallSpec) -> dict[str, float]:
             )
             * bulk
         )
-    return {
-        BACKEND_CLOSED: _closed_seconds(spec),
-        BACKEND_DP: band,
-        BACKEND_MODULAR: modular,
-        BACKEND_RYSER: _ryser_seconds(n),
-        BACKEND_ENUMERATE: _enumerate_seconds(n),
-    }
-
-
-def _closed_form(spec: BallSpec) -> int:
-    return 1 if spec.r == 0 else math.factorial(spec.n)
+    return {BACKEND_DP: band, BACKEND_MODULAR: modular}
 
 
 _BACKENDS = {
-    BACKEND_CLOSED: _closed_form,
+    BACKEND_CLOSED: lambda spec: 1 if spec.r == 0 else math.factorial(spec.n),
     BACKEND_DP: ball_size_band_dp,
     BACKEND_MODULAR: ball_size_modular_dp,
     BACKEND_RYSER: ball_size_ryser,
@@ -532,11 +495,18 @@ _BACKENDS = {
 
 
 def applicable_backends(spec: BallSpec) -> list[str]:
-    """Backends predicted to count this spec within EXACT_MAX_SECONDS,
-    fastest first."""
+    """The admitted backends in the dispatcher's order: the closed form,
+    the band DPs predicted faster first, Ryser and enumeration."""
+    n, r = spec.n, spec.r
     seconds = _predicted_seconds(spec)
-    admitted = [name for name in _BACKENDS if seconds[name] <= EXACT_MAX_SECONDS]
-    return sorted(admitted, key=seconds.__getitem__)
+    dps = sorted(seconds, key=seconds.get)
+    admitted = {
+        BACKEND_CLOSED: r == 0 or (r == n - 1 and n <= FACTORIAL_MAX_N),
+        **{dp: seconds[dp] <= EXACT_MAX_SECONDS for dp in dps},
+        BACKEND_RYSER: n <= RYSER_MAX_N,
+        BACKEND_ENUMERATE: n <= ENUMERATE_MAX_N,
+    }
+    return [name for name, ok in admitted.items() if ok]
 
 
 def ball_size_exact_detailed(
@@ -548,10 +518,9 @@ def ball_size_exact_detailed(
 ) -> ExactResult:
     """Exact |B_{r,n}| with the backend that produced it.
 
-    Normal mode returns the cached count, or runs the applicable backend
-    predicted to be fastest.  Verification mode runs every applicable
-    backend and the cache record, and raises VerificationError on any
-    disagreement.
+    Normal mode returns the cached count or runs the first applicable
+    backend; verification mode runs every applicable backend and the cache
+    record, and raises VerificationError on any disagreement.
     ``backends`` restricts the candidates (``()`` reads only the cache).
     """
     if backends is not None:

@@ -254,7 +254,8 @@ class TestWorkModel:
         assert oracle.applicable_backends(BallSpec(300000, 1)) == []
 
     def test_readme_prints_the_fitted_constants(self):
-        # The predicted-seconds column of the README's backend table.
+        # The second column of the README's backend table: each band DP's
+        # predicted seconds, and the caps on n that admit the other backends.
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         rows = dict(re.findall(r"^\| ([a-z-]+) +\| ([^|]+)\|", readme, re.M))
         printed = {
@@ -262,7 +263,7 @@ class TestWorkModel:
             for name in oracle._BACKENDS
         }
         assert printed == {
-            "closed-form": [oracle.CLOSED_S_PER_DIGIT2],
+            "closed-form": [],
             "band-dp": [oracle.DP_S_PER_UNIT, oracle.DP_S_PER_UNIT_BIT],
             "modular-dp": [
                 oracle.MODULAR_S_PER_CALL,
@@ -274,37 +275,54 @@ class TestWorkModel:
                 oracle.MODULAR_S_PER_BULK_MODULUS,
                 oracle.MODULAR_S_PER_BULK_MODULUS_BIT,
             ],
-            "ryser": [oracle.SETUP_S, oracle.RYSER_S_PER_UNIT],
-            "enumerate": [oracle.SETUP_S, oracle.ENUMERATE_S_PER_UNIT],
+            "ryser": [],
+            "enumerate": [],
+        }
+        caps = {
+            name: re.findall(r"n <= ([\d,]+)", rows[name])
+            for name in ("closed-form", "ryser", "enumerate")
+        }
+        assert caps == {
+            "closed-form": [f"{oracle.FACTORIAL_MAX_N:,}"],
+            "ryser": [f"{oracle.RYSER_MAX_N:,}"],
+            "enumerate": [f"{oracle.ENUMERATE_MAX_N:,}"],
         }
 
     def test_readme_states_the_admission_frontier(self):
         # The README's modular-dp row states where it is admitted: "every r
-        # at n <= A", "r <= R at n = A..B" (or "at n = A") and "r = R to
-        # n = B".  Each edge must hold on both sides.
-        def admitted(n, r):
-            return "modular-dp" in applicable_backends(BallSpec(n, r))
+        # at n <= A" and "r <= R at n = A..B" (or "at n = A").  Both DP rows
+        # state "r = R to n = B" for r = 1..4, "n = " written only in the
+        # first.  Each edge must hold on both sides.
+        def admitted(n, r, name="modular-dp"):
+            return name in applicable_backends(BallSpec(n, r))
 
         def number(text):
             return int(text.replace(",", ""))
 
+        def admitted_column(name):
+            return re.search(rf"^\| {name} +\|[^|]+\|([^|]+)\|", readme, re.M)[1]
+
         readme = (Path(__file__).parents[1] / "README.md").read_text()
-        row = re.search(r"^\| modular-dp +\|[^|]+\|([^|]+)\|", readme, re.M)[1]
+        row = admitted_column("modular-dp")
         value = r"(\d[\d,]*\d|\d)"
         (every,) = re.findall(rf"every r at n <= {value}", row)
         a = number(every)
         assert all(admitted(a, r) for r in range(a))
         assert not all(admitted(a + 1, r) for r in range(a + 1))
         bands = re.findall(rf"r <= (\d+) at n = {value}(?:\.\.{value})?", row)
-        reaches = re.findall(rf"r = (\d+) to n = {value}", row)
-        assert bands and reaches
+        assert bands
         for radius, first, last in bands:
             r, a, b = int(radius), number(first), number(last or first)
             assert admitted(a, r) and admitted(b, r), (a, b, r)
             assert not admitted(a, r + 1) and not admitted(b, r + 1), (a, b, r)
-        for radius, last in reaches:
-            r, b = int(radius), number(last)
-            assert admitted(b, r) and not admitted(b + 1, r), (b, r)
+        for name in ("band-dp", "modular-dp"):
+            column = admitted_column(name)
+            reaches = re.findall(rf"r = (\d+) to (?:n = )?{value}", column)
+            assert sorted(int(radius) for radius, _ in reaches) == [1, 2, 3, 4], name
+            for radius, last in reaches:
+                r, b = int(radius), number(last)
+                assert admitted(b, r, name), (name, b, r)
+                assert not admitted(b + 1, r, name), (name, b, r)
 
     @pytest.mark.parametrize("n, r", [(40, 33), (300000, 299999), (500, 16)])
     def test_cells_past_the_budget_skip_the_column_sum(self, n, r):
@@ -315,15 +333,14 @@ class TestWorkModel:
 class TestBackendAgreement:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_backends_all_radii(self, n):
-        # Every backend in the dispatcher's table that has a finite
-        # prediction at the cell, inside the work budget or not.
+        # Every backend in the dispatcher's table, inside the work budget
+        # or not; the closed form only where it holds, at r = 0 and n-1.
         ran = set()
         for r in range(n):
             spec = BallSpec(n, r)
             expected = ball_size_enumerate(spec)
-            seconds = oracle._predicted_seconds(spec)
             for name, count in oracle._BACKENDS.items():
-                if math.isfinite(seconds[name]):
+                if name != oracle.BACKEND_CLOSED or r in (0, n - 1):
                     assert count(spec) == expected, (name, spec)
                     ran.add(name)
         assert ran == set(oracle._BACKENDS)
@@ -497,15 +514,40 @@ class TestWorkBudget:
     def test_narrow_bands_go_to_the_residue_dp_with_the_same_count(self):
         # Where 2r+1 nears n the columns hold fewer than C(2r, r) states.
         spec = BallSpec(16, 12)
-        assert applicable_backends(spec) == ["modular-dp", "ryser", "band-dp"]
+        assert applicable_backends(spec) == ["modular-dp", "band-dp", "ryser"]
         assert ball_size_exact(spec) == ball_size_band_dp(spec)
 
     def test_refuses_the_factorial_of_300000_at_once(self):
-        # The closed form is charged for writing n! in decimal.
+        # n! is admitted only up to FACTORIAL_MAX_N, for its decimal digits.
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="work budget"):
             ball_size_exact(BallSpec(300000, 299999))
         assert time.perf_counter() - start < 1.0
+
+    def test_admits_the_factorial_up_to_its_cap(self):
+        cap = oracle.FACTORIAL_MAX_N
+        assert applicable_backends(BallSpec(cap, cap - 1)) == ["closed-form"]
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="work budget"):
+            ball_size_exact(BallSpec(cap + 1, cap))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("name, last", [("ryser", 19), ("enumerate", 9)])
+    def test_admits_the_cross_checks_up_to_their_caps(self, name, last):
+        assert all(name in applicable_backends(BallSpec(last, r)) for r in range(last))
+        assert not any(
+            name in applicable_backends(BallSpec(last + 1, r)) for r in range(last + 1)
+        )
+
+    def test_runs_the_closed_form_or_a_band_dp_first(self):
+        # Ryser and enumeration only cross-check.  Every cell up to n = 22
+        # is admitted; at n = 23 no backend counts r = 13..21 in the budget.
+        first = {"closed-form", "band-dp", "modular-dp"}
+        for n in range(1, 24):
+            for r in range(n):
+                backends = applicable_backends(BallSpec(n, r))
+                assert backends or (n == 23 and 13 <= r <= 21), (n, r)
+                assert not backends or backends[0] in first, (n, r, backends)
 
     @pytest.mark.parametrize("n", [60, 2000])
     def test_counts_the_factorial_of_small_n(self, n):
