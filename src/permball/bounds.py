@@ -18,6 +18,7 @@ from .core import BallSpec, BandMatrix
 from .errors import DomainError, ValidationError
 from .qmat import StochasticMatrix
 from .scalar import (
+    LOG2_FACTORIAL_EXACT_MAX,
     LOG2E,
     alpha_high_root,
     alpha_low_root,
@@ -163,7 +164,13 @@ def _phi3_bits(spec: BallSpec) -> float:
 # covers with the text that refuses a radius outside it.
 _CLOSED = {
     "phi1": ("lower", _phi1_bits, lambda spec: True, ""),
-    "Phi1": ("upper", _Phi1_bits, lambda spec: True, ""),
+    # Phi1 reads log2(k!) from the cumulative table for k <= min(2r+1, n).
+    "Phi1": (
+        "upper", _Phi1_bits,
+        lambda spec: min(2 * spec.r + 1, spec.n) <= LOG2_FACTORIAL_EXACT_MAX,
+        f"Phi1 requires min(2r+1, n) <= {LOG2_FACTORIAL_EXACT_MAX}, "
+        "the cumulative log2-factorial table's cap",
+    ),
     "phi1_prime": (
         "lower", _phi1_prime_bits, lambda spec: 1 <= spec.r and spec.low_range,
         "phi1_prime requires 1 <= r <= (n-1)/2",
@@ -187,10 +194,11 @@ DIRECTIONS = {f: _CLOSED[f][0] if f in _CLOSED else "lower" for f in ALL_FAMILIE
 def finite_bound(family: str, spec: BallSpec) -> BoundValue:
     """Finite-n value of a closed bound family at a spec, in bits.
 
-    phi1, Phi1 and phi2 cover every radius, with a branch at rho = 1/2
-    (``BallSpec.low_range``).  Outside the range of phi1_prime or phi3
-    the result is an inert invalid value whose reason is the family's
-    refusal text.
+    phi1 and phi2 cover every radius, with a branch at rho = 1/2
+    (``BallSpec.low_range``); so does Phi1 while min(2r+1, n) is within
+    the cumulative log2-factorial table.  Outside the range of Phi1,
+    phi1_prime or phi3 the result is an inert invalid value whose reason
+    is the family's refusal text.
     """
     if family not in CLOSED_FAMILIES:
         raise ValidationError(

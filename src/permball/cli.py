@@ -93,11 +93,8 @@ def _parse_int_list(text: str) -> list[int]:
     return sorted(out)
 
 
-def _resolve_cache(args) -> ResultCache | None:
-    directory = getattr(args, "cache_dir", None)
-    if directory is None:
-        directory = default_cache_dir()
-    return ResultCache(directory)
+def _resolve_cache(args) -> ResultCache:
+    return ResultCache(args.cache_dir or default_cache_dir())
 
 
 def _specs_for(n: int, args) -> list[BallSpec]:

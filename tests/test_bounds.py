@@ -234,6 +234,16 @@ class TestFiniteBound:
                 for family in ("phi1", "Phi1", "phi2"):
                     assert finite_bound(family, BallSpec(n, r)).valid
 
+    def test_Phi1_past_the_log2_factorial_table_is_inert(self):
+        # Phi1 reads log2(k!) from the cumulative table up to min(2r+1, n).
+        for spec in (BallSpec(2_000_001, 1_500_000), BallSpec(2_000_001, 500_000)):
+            bv = finite_bound("Phi1", spec)
+            assert not bv.valid and math.isnan(bv.bits)
+            assert "Phi1 requires min(2r+1, n) <= 1000000" in bv.reason
+        assert finite_bound("Phi1", BallSpec(2_000_001, 499_999)).valid
+        assert finite_bound("Phi1", BallSpec(10**6, 10**6 - 1)).valid
+        assert finite_bound("phi1", BallSpec(2_000_001, 1_500_000)).valid
+
     def test_boundary_values(self):
         # r = n-1: the upper bound meets the exact count n! exactly.
         bv = finite_bound("Phi1", BallSpec(6, 5))

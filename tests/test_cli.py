@@ -186,6 +186,18 @@ class TestSweep:
         assert code == 1 and "at most one of --r and --rho" in err
         assert not out.exists()
 
+    def test_Phi1_past_its_table_cap_is_an_invalid_row(self, capsys, tmp_path):
+        out = tmp_path / "big.csv"
+        code, _, err = run(
+            capsys, "sweep", "--n", "2000001", "--rho", "3/4",
+            "--families", "phi1,Phi1", "--out", str(out),
+            "--cache-dir", str(tmp_path / "c"), "--jobs", "1",
+        )
+        assert code == 0, err
+        rows = {row["family"]: row for row in parse_sweep_csv(out.read_text())}
+        assert rows["phi1"]["valid"] and not rows["Phi1"]["valid"]
+        assert rows["Phi1"]["spec"] == rows["phi1"]["spec"]
+
     def test_generic_families(self, capsys, tmp_path):
         out = tmp_path / "g.csv"
         code, _, _ = run(

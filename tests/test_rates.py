@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from permball.asym import CROSSOVER_XI
+from permball.asym import CROSSOVER_XI, exponent
 from permball.core import BallSpec
 from permball.errors import DomainError, ValidationError
 from permball.oracle import ball_size_exact
@@ -70,6 +70,13 @@ class TestCoverAsymptotic:
         assert covering_rate_upper(0.75, "old").rate_bits == pytest.approx(
             0.5, abs=1e-12
         )
+
+    def test_old_is_phi1_rate_plus_one_bit_up_to_half(self):
+        for rho in (0.1, 0.25, 0.5):
+            expected = exponent("phi1", rho).e_value - LOG2E + 1.0
+            assert covering_rate_upper(rho, "old").rate_bits == pytest.approx(
+                expected, abs=1e-12
+            )
 
     def test_new_high_branch_value(self):
         t = t_hat(0.75)
@@ -137,7 +144,7 @@ class TestImprovements:
 class TestFiniteMode:
     def test_ecc_quotient_matches_definition(self):
         n, delta = 9, 0.5
-        point = ecc_rate_upper(delta, "new", "finite", n=n)
+        point = ecc_rate_upper(delta, "new", n=n)
         r = int(math.floor((delta * (n - 1) - 1) / 2))
         expected = (
             log2_factorial(n) - math.log2(ball_size_exact(BallSpec(n, r)))
@@ -147,7 +154,7 @@ class TestFiniteMode:
 
     def test_cover_quotient_matches_definition(self):
         n, rho = 9, 0.5
-        point = covering_rate_upper(rho, "new", "finite", n=n)
+        point = covering_rate_upper(rho, "new", n=n)
         ln_nf = log2_factorial(n) * math.log(2)
         expected = (
             log2_factorial(n)
@@ -179,7 +186,7 @@ class TestFiniteMode:
         from permball.bounds import best_finite_lower_bound
 
         start = time.perf_counter()
-        point = ecc_rate_upper(0.26, "new", "finite", n=100)
+        point = ecc_rate_upper(0.26, "new", n=100)
         assert time.perf_counter() - start < 1.0
         expected = (
             log2_factorial(100) - best_finite_lower_bound(BallSpec(100, 12))
@@ -188,11 +195,25 @@ class TestFiniteMode:
 
     def test_finite_cover_requires_integral_radius(self):
         with pytest.raises(ValidationError, match="not integral"):
-            covering_rate_upper(0.5, "new", "finite", n=10)
+            covering_rate_upper(0.5, "new", n=10)
 
     def test_negative_packing_argument_rejected(self):
         with pytest.raises(DomainError):
-            ecc_rate_upper(0.05, "new", "finite", n=9)
+            ecc_rate_upper(0.05, "new", n=9)
+
+    def test_mode_follows_n(self):
+        assert ecc_rate_upper(0.5).mode == "asymptotic"
+        assert ecc_rate_upper(0.5).n is None
+        assert covering_rate_upper(0.5, n=9).mode == "finite"
+
+    @pytest.mark.parametrize("rate", [ecc_rate_upper, covering_rate_upper])
+    def test_finite_old_variant_is_refused(self, rate):
+        # The finite quotient takes the exact count or the best lower
+        # bound, so an "old" finite point would repeat the "new" one.
+        with pytest.raises(ValidationError, match="no 'old' variant"):
+            rate(0.5, "old", n=9)
+        with pytest.raises(ValidationError, match="n >= 2"):
+            rate(0.5, "new", n=1)
 
 
 class TestRateTable:
