@@ -167,6 +167,8 @@ def cmd_sweep(args) -> int:
         families = list(CLOSED_FAMILIES)
     else:
         families = [f.strip() for f in args.families.split(",") if f.strip()]
+        if not families:
+            raise ValidationError(f"no family names in --families {args.families!r}")
         unknown = [f for f in families if f not in ALL_FAMILIES]
         if unknown:
             raise ValidationError(

@@ -84,12 +84,13 @@ def ecc_rate_upper(
     if n is None:
         rate = _rate_from_exponent(variant, delta / 2.0)
         return RatePoint(kind, delta, rate, "asymptotic")
-    arg = delta * (n - 1) - 1.0
+    # Exact rational distance: 0.29 * 100 is 28.999999999999996 in floats.
+    arg = Fraction(delta).limit_denominator(RHO_DENOMINATOR_LIMIT) * (n - 1) - 1
     if arg < 0:
         raise DomainError(
             f"delta={delta} gives a negative packing radius argument at n={n}"
         )
-    spec = BallSpec(n, int(math.floor(arg / 2.0)))
+    spec = BallSpec(n, arg // 2)
     rate = (log2_factorial(n) - _log2_ball_or_lower(spec)) / n
     return RatePoint(kind, delta, rate, "finite", n)
 

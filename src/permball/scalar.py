@@ -157,35 +157,36 @@ def _bisect_newton(g, gprime, lo: float, hi: float) -> float:
     return x
 
 
-def alpha_low_root(r: int) -> AlphaRoot:
-    """Unique positive root of a^(r+1) - a - 1 = 0, which lies in (1, 2].
+def _alpha_root(m: int, c: int) -> AlphaRoot:
+    """The root a = 1 + d in [1, 2] of a^m + c*(a-1) = 2, for m >= 2, c >= -1.
 
-    Solved in d = a - 1 via exp((r+1)*log1p(d)) so the residual stays at
-    float precision even for large r.
+    Solved in d via exp(m*log1p(d)), which keeps the residual at float
+    precision for large m and avoids the cancellation of the printed
+    forms.  At the root a^m = 2 - c*d <= 2 - min(c, 0), which bounds d.
     """
-    if not isinstance(r, int) or r < 1:
-        raise DomainError(f"alpha_low_root requires integer r >= 1, got {r!r}")
-    k = r + 1
 
     def g(d: float) -> float:
-        s = k * math.log1p(d)
-        # Far above the root for large r; report a sign, not an overflow.
-        if s > 700.0:
-            return math.inf
-        return math.exp(s) - 2.0 - d
+        return math.exp(m * math.log1p(d)) - 2.0 + c * d
 
     def gprime(d: float) -> float:
-        return k * math.exp((k - 1) * math.log1p(d)) - 1.0
+        return m * math.exp((m - 1) * math.log1p(d)) + c
 
-    d = _bisect_newton(g, gprime, 0.0, 1.0)
+    d_hi = math.expm1(math.log(2 - min(c, 0)) / m) * (1.0 + 1e-12)
+    d = _bisect_newton(g, gprime, 0.0, d_hi)
     residual = g(d)
-    value = 1.0 + d
-    if abs(residual) > ALPHA_RESIDUAL_TOL * max(1.0, 2.0 + d):
+    if abs(residual) > ALPHA_RESIDUAL_TOL * max(1.0, 2.0 - c * d):
         raise ConvergenceError(
-            f"alpha_low_root residual {residual:g} too large at r={r}",
+            f"alpha root residual {residual:g} too large at m={m}, c={c}",
             residual=residual,
         )
-    return AlphaRoot(value, residual)
+    return AlphaRoot(1.0 + d, residual)
+
+
+def alpha_low_root(r: int) -> AlphaRoot:
+    """Unique positive root α_r of a^(r+1) = a + 1, which lies in (1, 2)."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise DomainError(f"alpha_low_root requires integer r >= 1, got {r!r}")
+    return _alpha_root(r + 1, -1)
 
 
 def alpha_high_root(n: int, r: int) -> AlphaRoot:
@@ -193,9 +194,6 @@ def alpha_high_root(n: int, r: int) -> AlphaRoot:
 
     Defined for (n-1)/2 < r < n-1 (``BallSpec.second_high_range``); the
     root lies in (1, 2^(1/(n-r))].
-    Solved in d = a - 1: the equation becomes
-    exp((n-r)*log1p(d)) - 2 + (2r-n)*d = 0, avoiding the catastrophic
-    cancellation of the printed form when 2r-n is large.
     """
     if not (isinstance(n, int) and isinstance(r, int)):
         raise DomainError("alpha_high_root requires integer n, r")
@@ -207,29 +205,7 @@ def alpha_high_root(n: int, r: int) -> AlphaRoot:
         raise DomainError(
             f"alpha_high_root requires (n-1)/2 < r < n-1, got n={n}, r={r}"
         )
-    m = n - r
-    c = 2 * r - n
-
-    def g(d: float) -> float:
-        return math.exp(m * math.log1p(d)) - 2.0 + c * d
-
-    def gprime(d: float) -> float:
-        return m * math.exp((m - 1) * math.log1p(d)) + c
-
-    if c == 0:
-        # The equation degenerates to a^m = 2; the bracket endpoint is the root.
-        d = math.expm1(LN2 / m)
-    else:
-        d_hi = math.expm1(LN2 / m) * (1.0 + 1e-12)
-        d = _bisect_newton(g, gprime, 0.0, d_hi)
-    residual = g(d)
-    value = 1.0 + d
-    if abs(residual) > ALPHA_RESIDUAL_TOL * max(1.0, 2.0 - c * d):
-        raise ConvergenceError(
-            f"alpha_high_root residual {residual:g} too large at n={n}, r={r}",
-            residual=residual,
-        )
-    return AlphaRoot(value, residual)
+    return _alpha_root(n - r, 2 * r - n)
 
 
 def t_hat(rho: float) -> float:

@@ -186,6 +186,15 @@ class TestSweep:
         assert code == 1 and "at most one of --r and --rho" in err
         assert not out.exists()
 
+    def test_family_list_without_names_exits_one(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sweep", "--n", "4", "--families", " , ",
+            "--out", str(out), "--cache-dir", str(tmp_path / "c"),
+        )
+        assert code == 1 and "no family names" in err and "' , '" in err
+        assert not out.exists()
+
     def test_Phi1_past_its_table_cap_is_an_invalid_row(self, capsys, tmp_path):
         out = tmp_path / "big.csv"
         code, _, err = run(

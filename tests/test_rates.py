@@ -193,6 +193,15 @@ class TestFiniteMode:
         ) / 100
         assert point.rate_bits == expected
 
+    def test_ecc_distance_is_not_rounded_down(self):
+        # 0.29 * 100 is 28.999999999999996 in floats; d = 29 packs radius 14.
+        from permball.bounds import best_finite_lower_bound
+
+        expected = (
+            log2_factorial(101) - best_finite_lower_bound(BallSpec(101, 14))
+        ) / 101
+        assert ecc_rate_upper(0.29, "new", n=101).rate_bits == expected
+
     def test_finite_cover_requires_integral_radius(self):
         with pytest.raises(ValidationError, match="not integral"):
             covering_rate_upper(0.5, "new", n=10)

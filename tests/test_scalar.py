@@ -146,6 +146,10 @@ class TestAlphaLowRoot:
         with pytest.raises(DomainError):
             alpha_low_root(0)
 
+    def test_bool_is_refused(self):
+        with pytest.raises(DomainError):
+            alpha_low_root(True)
+
 
 class TestAlphaHighRoot:
     def test_quadratic_cases(self):
@@ -167,6 +171,20 @@ class TestAlphaHighRoot:
             alpha_high_root(6, 2)
         with pytest.raises(DomainError):
             alpha_high_root(6, 5)
+
+    @pytest.mark.parametrize("r", [2, 3, 50, 500000])
+    def test_half_radius_is_a_root_of_two(self, r):
+        # At n = 2r the linear term vanishes and a^r = 2.
+        assert alpha_high_root(2 * r, r).value == pytest.approx(2 ** (1 / r), rel=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.6, 0.75, 0.9])
+    def test_scaled_log_tends_to_t_hat(self, rho):
+        # 2^t + c*t*ln2/m = 2 is the n -> infinity limit of
+        # a^m + c*(a-1) = 2 with a = 2^(t/m), m = n-r, c = 2r-n.
+        n = 10**6 + 1
+        r = round(rho * (n - 1))
+        scaled = (n - r) * math.log2(alpha_high_root(n, r).value)
+        assert abs(scaled - t_hat(rho)) <= 3 / n
 
 
 class TestTHat:
