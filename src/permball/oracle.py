@@ -6,14 +6,13 @@ integers, the same DP in numpy residues modulo several coprime moduli,
 swept only to the middle column and joined with its mirror image,
 Ryser's inclusion-exclusion permanent over the band's column windows, and
 a depth-first enumeration of the permutations inside the band.
-``ball_size_exact`` runs the closed form where it applies, else the band
-DP predicted to be faster; verifying, it runs every admitted backend and
+``ball_size_exact`` runs the closed form where it applies, else the
+faster band DP; verifying, it runs every admitted backend and
 insists they agree.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -28,42 +27,21 @@ if TYPE_CHECKING:
 
 # One documented capacity limit: the dispatcher admits a backend only
 # where it should count the spec within EXACT_MAX_SECONDS; the backends
-# themselves count whatever they are given.  A band DP's predicted time
-# is a least-squares fit (in relative error) of times measured on a 2-vCPU
-# Intel Xeon host, per ``_dp_work`` unit: a state a column holds times a
-# row it tries, over all n columns for the Python-integer DP and the first
-# ceil(n/2) for the residue DP.
+# themselves count whatever they are given.  Each band DP's admitted cells
+# are a prefix in n at every r, so its limit is the largest n, by r, that
+# it counts within the budget (the frontiers of a time model fitted to
+# times measured on a 2-vCPU Intel Xeon host); a radius past the end of a
+# tuple is refused.  An engine change re-derives an entry by timing (n, r)
+# and (n+1, r), best of 3, on either side of the budget.
 EXACT_MAX_SECONDS = 3.0
-DP_S_PER_UNIT = 1.9e-7
-# The band DP's Python-integer counts grow to the count's bits, so its
-# unit also costs this much per bit of the row degrees' product (2.3 bits
-# a column at r = 2, 3.2 at r = 4).  A flat unit under-predicted r = 1..4
-# cells 2-9x at n from 10^4 to 2*10^5; this term is set from the cells it
-# predicts at 3 s, (13900,4) to (286000,1), which ran 2.6-3.1 s.
-DP_S_PER_UNIT_BIT = 3.5e-12
-# The residue DP pays a fixed cost per call (its moduli, first arrays,
-# the join and the CRT) and one set of numpy calls per column and row
-# choice, each of which also moves rows of k residues, one per modulus
-# (which counts where r <= 2 at large n puts thousands of moduli through
-# a few states).  A unit costs more in the boundary columns, which build
-# their own transfer maps, than in the bulk columns, which share one:
-# each build sorts and searches its next states, so a boundary unit also
-# pays per bit of the largest state count of the band.  A bulk unit moves
-# one count per modulus, at a cost that grows with the log2 C(2r, r) bits
-# of the bulk state count as the counts outgrow the caches.  The fit
-# weighs cells over 0.3 s 3x and over 1 s 30x, and over 1 s it is an
-# upper expectile (an under-predicted cell weighs 0.9, an over-predicted
-# one 0.1), since admitting a slow cell costs more than refusing a fast
-# one.  Below 0.1 s it fits the ratios to band-dp's prediction that
-# paired timings measured, which is what routes those cells.
-MODULAR_S_PER_CALL = 1.0e-4
-MODULAR_S_PER_CHOICE = 6.1e-6
-MODULAR_S_PER_CHOICE_MODULUS = 5.1e-9
-MODULAR_S_PER_BOUNDARY_UNIT = 1.6e-8
-MODULAR_S_PER_BOUNDARY_UNIT_BIT = 1.3e-9
-MODULAR_S_PER_BULK_UNIT = 2.6e-9
-MODULAR_S_PER_BULK_MODULUS = 3.2e-10
-MODULAR_S_PER_BULK_MODULUS_BIT = 5.1e-11
+BAND_DP_MAX_N = (
+    15_789_473, 283_584, 99_854, 38_024, 13_858, 4_446, 1_223, 311, 85, 32, 21, 20,
+    19, 19, 19, 19, 19, 19, 19,
+)
+MODULAR_DP_MAX_N = (
+    982_282, 93_050, 52_148, 29_146, 14_363, 6_566, 2_938, 1_320, 590, 265, 116,
+    50, 24, 22, 22, 22, 22, 22, 22, 22, 22, 22,
+)
 # The other backends are admitted by n alone.  On that host Ryser takes
 # 0.9 s at n = 19 and 1.2-1.9 s at n = 20, enumeration 0.85 s at (10, 9).
 RYSER_MAX_N = 19
@@ -385,104 +363,13 @@ def _moduli(bound: int) -> list[int]:
 
 
 def _degree_product(spec: BallSpec) -> int:
+    """The product of the row degrees, which bounds the permanent: that of
+    the band of m = min(n, 2r+1) rows, times 2r+1 for each of the n-m rows
+    a longer band adds to its bulk."""
     n, r = spec.n, spec.r
-    return math.prod(min(n, i + r) - max(1, i - r) + 1 for i in range(1, n + 1))
-
-
-def _states_after(n: int, r: int, j: int) -> int:
-    """The band DP's state count after column j: which min(j, r) of the
-    window rows max(1, j-r+1)..min(n, j+r) are matched (every row below
-    is)."""
-    return math.comb(min(n, j + r) - max(1, j - r + 1) + 1, min(j, r))
-
-
-@functools.cache
-def _column_work(n: int, r: int, last: int) -> int:
-    """The units of columns 1..last of a band of n <= 2r+2 columns, every
-    one of which builds its own map.  Past the budget check in
-    ``_dp_work`` n <= 66, r < n and ``last`` is n, ceil(n/2) or r+1, so
-    the cache holds at most about 6,600 counts."""
-    return sum(
-        _states_after(n, r, j - 1) * (min(n, j + r) - max(1, j - r) + 1)
-        for j in range(1, last + 1)
-    )
-
-
-def _dp_work(spec: BallSpec, half: bool = False) -> tuple[float, float]:
-    """Work units of the band DP's columns 1..n, or 1..ceil(n/2) with
-    ``half``, as (boundary, bulk): the columns that build a transfer map,
-    and the bulk columns after the first, which reuse its map.  Column
-    j's units are the states after column j-1 times the rows of its
-    window.
-
-    A band longer than 2r+2 builds its maps in its first r+1 and last r+1
-    columns, whose units are those of the band of n = 2r+2; its other
-    n-2r-2 columns read C(2r, r) states and try 2r+1 rows.  Its first
-    ceil(n/2) columns are the first r+1 of those and ceil(n/2)-r-1 bulk
-    columns.
-
-    Both are infinite where the states after column min(r, n // 2), the
-    most any column holds, alone are over the time budget at a boundary
-    unit's rate, the least the column that makes them costs a state; such
-    cells skip the sum.
-    """
-    n, r = spec.n, spec.r
-    peak = min(r, n // 2)
-    # C(66, 33) states are far past the budget; skip counting them.
-    if peak > 32 or (
-        _states_after(n, r, peak) * MODULAR_S_PER_BOUNDARY_UNIT > EXACT_MAX_SECONDS
-    ):
-        return math.inf, math.inf
-    last = (n + 1) // 2 if half else n
-    if n <= 2 * r + 2:
-        return _column_work(n, r, last), 0
-    bulk = math.comb(2 * r, r) * (2 * r + 1)
-    if half:
-        return _column_work(2 * r + 2, r, r + 1), (last - r - 1) * bulk
-    return _column_work(2 * r + 2, r, 2 * r + 2), (n - 2 * r - 2) * bulk
-
-
-def _degree_bits(n: int, r: int) -> float:
-    """log2 of ``_degree_product`` without the product, which bounds the
-    count's bits.  Past the first 2r+1 rows every row adds a degree of
-    2r+1."""
     m = min(n, 2 * r + 1)
-    bits = sum(math.log2(min(m, i + r) - max(1, i - r) + 1) for i in range(1, m + 1))
-    return bits + (n - m) * math.log2(2 * r + 1)
-
-
-def _moduli_count(n: int, r: int) -> int:
-    """len(_moduli(_degree_product)) without the product: the degrees'
-    log2 sum over the RESIDUE_BITS each modulus carries."""
-    return int(_degree_bits(n, r) // RESIDUE_BITS) + 1
-
-
-def _predicted_seconds(spec: BallSpec) -> dict[str, float]:
-    n, r = spec.n, spec.r
-    half = (n + 1) // 2
-    boundary, bulk = _dp_work(spec, half=True)
-    band = modular = math.inf
-    if math.isfinite(boundary):
-        unit = DP_S_PER_UNIT + DP_S_PER_UNIT_BIT * _degree_bits(n, r)
-        band = unit * sum(_dp_work(spec))
-        moduli = _moduli_count(n, r)
-        peak_bits = math.log2(max(2, _states_after(n, r, min(r, n // 2))))
-        bulk_bits = math.log2(math.comb(2 * r, r))
-        modular = (
-            MODULAR_S_PER_CALL
-            + (MODULAR_S_PER_CHOICE + MODULAR_S_PER_CHOICE_MODULUS * moduli)
-            * half
-            * (2 * r + 1)
-            + (MODULAR_S_PER_BOUNDARY_UNIT + MODULAR_S_PER_BOUNDARY_UNIT_BIT * peak_bits)
-            * boundary
-            + (
-                MODULAR_S_PER_BULK_UNIT
-                + (MODULAR_S_PER_BULK_MODULUS + MODULAR_S_PER_BULK_MODULUS_BIT * bulk_bits)
-                * moduli
-            )
-            * bulk
-        )
-    return {BACKEND_DP: band, BACKEND_MODULAR: modular}
+    edges = math.prod(min(m, i + r) - max(1, i - r) + 1 for i in range(1, m + 1))
+    return edges * (2 * r + 1) ** (n - m)
 
 
 _BACKENDS = {
@@ -496,13 +383,20 @@ _BACKENDS = {
 
 def applicable_backends(spec: BallSpec) -> list[str]:
     """The admitted backends in the dispatcher's order: the closed form,
-    the band DPs predicted faster first, Ryser and enumeration."""
+    the faster band DP first, Ryser and enumeration."""
     n, r = spec.n, spec.r
-    seconds = _predicted_seconds(spec)
-    dps = sorted(seconds, key=seconds.get)
+    # Where both are admitted, band-dp is the faster at r <= 2; at r = 3 up
+    # to n = 43, at n = 45 (the half sweep's cost steps every other n) and
+    # from n = 3,512 (the residue DP's moduli grow with n); and at n <= 9
+    # for r = 4, n <= 8 for r = 5..7.  modular-dp is the faster elsewhere.
+    band_first = r < 3 or n <= 8 or (n, r) == (9, 4) or (
+        r == 3 and (n <= 43 or n == 45 or n >= 3_512)
+    )
+    caps = {BACKEND_DP: BAND_DP_MAX_N, BACKEND_MODULAR: MODULAR_DP_MAX_N}
+    dps = list(caps) if band_first else list(reversed(caps))
     admitted = {
         BACKEND_CLOSED: r == 0 or (r == n - 1 and n <= FACTORIAL_MAX_N),
-        **{dp: seconds[dp] <= EXACT_MAX_SECONDS for dp in dps},
+        **{dp: r < len(caps[dp]) and n <= caps[dp][r] for dp in dps},
         BACKEND_RYSER: n <= RYSER_MAX_N,
         BACKEND_ENUMERATE: n <= ENUMERATE_MAX_N,
     }

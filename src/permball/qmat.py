@@ -167,12 +167,6 @@ def _finish(
     return sm
 
 
-def _first_class_corners(n: int, r: int, low_regime: bool) -> tuple[int, int]:
-    """(far, D): the cells with |i+j-n-1| >= far, the two corner
-    triangles, hold 2/D and the other band cells 1/D."""
-    return (n - r, 2 * r + 1) if low_regime else (r + 1, n)
-
-
 def _mirror_distance(cells: Cells, n: int) -> np.ndarray:
     """|i+j-n-1| per cell: how far the cell lies from the anti-diagonal."""
     distance = cells[0] + cells[1]
@@ -184,17 +178,13 @@ def q_first_class(spec: BallSpec) -> StochasticMatrix:
     """Piecewise-constant doubly-stochastic matrix on the band, in exact
     rationals.
 
-    Entry values are 1/(2r+1) with 2/(2r+1) corner triangles when
-    2r <= n-1 (``BallSpec.low_range``), and 1/n with 2/n corner triangles
-    when 2r >= n-1.  At rho = 1/2 the two regimes coincide; both are built
-    and asserted equal.
+    The band cells with |i+j-n-1| >= far, the two corner triangles, hold
+    2/D and the others 1/D: (far, D) = (n-r, 2r+1) when 2r <= n-1
+    (``BallSpec.low_range``), and (r+1, n) when 2r >= n-1.  At rho = 1/2
+    the two pairs are the same.
     """
     n, r = spec.n, spec.r
-    far, denominator = _first_class_corners(n, r, spec.low_range)
-    if 2 * r == n - 1 and (far, denominator) != _first_class_corners(n, r, False):
-        raise ValidationError(
-            f"regime-boundary mismatch for first-class matrix at n={n}, r={r}"
-        )
+    far, denominator = (n - r, 2 * r + 1) if spec.low_range else (r + 1, n)
     cells = _band_cells(spec)
     num = _mirror_distance(cells, n)
     np.greater_equal(num, far, out=num)

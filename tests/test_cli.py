@@ -260,6 +260,21 @@ class TestSweep:
         payload = json.loads(out.read_text())
         assert payload["rows"][0]["exact_count"] == "14"
         assert payload["rows"][0]["family"] == "phi1"
+        assert payload["rows"][0]["reason"] == ""
+
+    def test_json_rows_say_why_a_value_is_invalid(self, capsys, tmp_path):
+        # Phi1 at r = 1,500,000 reads past the log2-factorial table; the
+        # one row is invalid, so the sweep exits 3 with the row written.
+        out = tmp_path / "s.json"
+        code, _, _ = run(
+            capsys, "sweep", "--n", "2000001", "--rho", "3/4", "--families", "Phi1",
+            "--format", "json", "--out", str(out),
+            "--cache-dir", str(tmp_path / "c"), "--jobs", "1",
+        )
+        assert code == 3
+        (row,) = json.loads(out.read_text())["rows"]
+        assert (row["valid"], row["bits"]) == (False, None)
+        assert "the cumulative log2-factorial table's cap" in row["reason"]
 
     def test_backends_flag_is_unknown(self, capsys, tmp_path):
         code, _, _ = run(

@@ -103,13 +103,12 @@ class TestModularDP:
 
     def test_equals_the_dict_dp_on_every_small_cell(self):
         # Every r up to n = 16, which holds both parities of n and windows
-        # with 2r+1 > n, so virtual rows on both sides of the middle; up to
-        # n = 25, every r the dict DP is predicted to count in 20 ms.
+        # with 2r+1 > n, so virtual rows on both sides of the middle; r <= 6
+        # up to n = 18 and r <= 5 up to n = 25, which the dict DP counts in
+        # about 20 ms each.
         for n in range(1, 26):
-            for r in range(n):
+            for r in range(n if n <= 16 else 7 if n <= 18 else 6):
                 spec = BallSpec(n, r)
-                if n > 16 and oracle._predicted_seconds(spec)["band-dp"] > 0.02:
-                    continue
                 assert ball_size_modular_dp(spec) == ball_size_band_dp(spec), (n, r)
 
     @pytest.mark.parametrize("n", range(3, 19))
@@ -134,6 +133,12 @@ class TestModularDP:
         assert math.prod(moduli[:-1]) <= bound
         assert all(0 < m < 1 << oracle.RESIDUE_BITS for m in moduli)
         assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+
+    def test_degree_product_equals_the_row_by_row_product(self):
+        for n in range(1, 121):
+            for r in range(min(n, 40)):
+                degrees = (min(n, i + r) - max(1, i - r) + 1 for i in range(1, n + 1))
+                assert oracle._degree_product(BallSpec(n, r)) == math.prod(degrees)
 
     @pytest.mark.parametrize("n, r", [(60, 6), (12, 2), (9, 4), (6, 3)])
     def test_builds_the_bulk_map_once_per_call(self, monkeypatch, n, r):
@@ -223,30 +228,16 @@ class TestModularDP:
 
 class TestWorkModel:
     def test_matches_the_column_sweep(self):
-        # At every cell 2 <= n <= 20, 1 <= r <= n-2: the state count after
-        # each column, and the units (states read times rows tried) summed
-        # over the columns that build a map and over the others, for the
-        # whole sweep and for its columns up to the middle.
+        # At every cell 2 <= n <= 20, 1 <= r <= n-2, the states after column
+        # j choose which min(j, r) of the window rows max(1, j-r+1)..
+        # min(n, j+r) are matched (every row below is).
         for n in range(2, 21):
             for r in range(1, n - 1):
-                units, halved = [0, 0], [0, 0]
                 states = np.array([(1 << r) - 1], dtype=np.uint64)
                 for j in range(1, n + 1):
-                    rows = min(n, j + r) - max(1, j - r) + 1
-                    units[r + 1 < j < n - r] += states.size * rows
-                    if j <= (n + 1) // 2:
-                        halved[r + 1 < j < n - r] += states.size * rows
                     states, _ = oracle._modular_column(states, n, r, j)
-                    assert states.size == oracle._states_after(n, r, j), (n, r, j)
-                spec = BallSpec(n, r)
-                assert oracle._dp_work(spec) == tuple(units), (n, r)
-                assert oracle._dp_work(spec, half=True) == tuple(halved), (n, r)
-
-    def test_counts_the_moduli_without_their_product(self):
-        for n in range(1, 121):
-            for r in range(min(n, 40)):
-                bound = oracle._degree_product(BallSpec(n, r))
-                assert oracle._moduli_count(n, r) == len(oracle._moduli(bound)), (n, r)
+                    window = min(n, j + r) - max(1, j - r + 1) + 1
+                    assert states.size == math.comb(window, min(j, r)), (n, r, j)
 
     def test_band_dp_prices_the_counts_growing_bits(self):
         # (286000, 1) ran 3.1 s, where 1.9e-7 s a unit alone predicts 0.33 s.
@@ -255,28 +246,20 @@ class TestWorkModel:
 
     def test_readme_prints_the_fitted_constants(self):
         # The second column of the README's backend table: each band DP's
-        # predicted seconds, and the caps on n that admit the other backends.
+        # largest n by r, "r = 0..R: A; B; ...", and the caps on n that
+        # admit the other backends.
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         rows = dict(re.findall(r"^\| ([a-z-]+) +\| ([^|]+)\|", readme, re.M))
-        printed = {
-            name: [float(x) for x in re.findall(r"\d+(?:\.\d+)?e-\d+", rows[name])]
-            for name in oracle._BACKENDS
-        }
-        assert printed == {
-            "closed-form": [],
-            "band-dp": [oracle.DP_S_PER_UNIT, oracle.DP_S_PER_UNIT_BIT],
-            "modular-dp": [
-                oracle.MODULAR_S_PER_CALL,
-                oracle.MODULAR_S_PER_CHOICE,
-                oracle.MODULAR_S_PER_CHOICE_MODULUS,
-                oracle.MODULAR_S_PER_BOUNDARY_UNIT,
-                oracle.MODULAR_S_PER_BOUNDARY_UNIT_BIT,
-                oracle.MODULAR_S_PER_BULK_UNIT,
-                oracle.MODULAR_S_PER_BULK_MODULUS,
-                oracle.MODULAR_S_PER_BULK_MODULUS_BIT,
-            ],
-            "ryser": [],
-            "enumerate": [],
+        tables = {}
+        for name in oracle._BACKENDS:
+            printed = re.findall(r"r = 0\.\.(\d+): ([\d,; ]+)", rows[name])
+            for last, values in printed:
+                entries = [int(v.replace(",", "")) for v in values.split(";")]
+                assert len(entries) == int(last) + 1, name
+                tables[name] = tuple(entries)
+        assert tables == {
+            "band-dp": oracle.BAND_DP_MAX_N,
+            "modular-dp": oracle.MODULAR_DP_MAX_N,
         }
         caps = {
             name: re.findall(r"n <= ([\d,]+)", rows[name])
@@ -323,11 +306,6 @@ class TestWorkModel:
                 r, b = int(radius), number(last)
                 assert admitted(b, r, name), (name, b, r)
                 assert not admitted(b + 1, r, name), (name, b, r)
-
-    @pytest.mark.parametrize("n, r", [(40, 33), (300000, 299999), (500, 16)])
-    def test_cells_past_the_budget_skip_the_column_sum(self, n, r):
-        assert oracle._dp_work(BallSpec(n, r)) == (math.inf, math.inf)
-        assert oracle._dp_work(BallSpec(n, r), half=True) == (math.inf, math.inf)
 
 
 class TestBackendAgreement:
@@ -489,12 +467,27 @@ def benchmark_exact_cells():
 
 
 class TestWorkBudget:
-    @pytest.mark.parametrize("n, r", [(100, 11), (30, 12), (23, 13)])
+    @pytest.mark.parametrize(
+        "n, r", [(100, 11), (30, 12), (23, 13), (40, 33), (300000, 299999), (500, 16)]
+    )
     def test_refuses_cells_over_budget_at_once(self, n, r):
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="work budget"):
             ball_size_exact(BallSpec(n, r))
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "name, table",
+        [("band-dp", oracle.BAND_DP_MAX_N), ("modular-dp", oracle.MODULAR_DP_MAX_N)],
+    )
+    def test_admits_each_dp_up_to_its_table(self, name, table):
+        for r, last in enumerate(table):
+            assert name in applicable_backends(BallSpec(last, r)), (last, r)
+            assert name not in applicable_backends(BallSpec(last + 1, r)), (last, r)
+        # A radius past the end of the table is refused at its smallest n.
+        r = len(table)
+        assert name not in applicable_backends(BallSpec(r + 1, r))
+        assert all(a >= b for a, b in zip(table, table[1:]))
 
     def test_keeps_the_first_backend_on_benchmark_cells(self):
         for n, r in sorted(benchmark_exact_cells()):

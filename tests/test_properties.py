@@ -26,6 +26,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from permball.asym import GAP_PAIRS, GRID_MIN_STEP, gap_curve_table, step_grid
 from permball.bounds import (
     ALL_FAMILIES,
+    CLOSED_FAMILIES,
     LOWER_FAMILIES,
     bethe_bound,
     finite_bound,
@@ -150,7 +151,9 @@ def test_sweep_json_rows_equal_parsed_csv_rows(n_values, families):
         spec = BallSpec(row.pop("n"), row.pop("r"))
         exact = row["exact_count"]
         row.update(spec=spec, exact_count=None if exact is None else int(exact))
-        assert row == expected
+        family = expected["family"]
+        reason = finite_bound(family, spec).reason if family in CLOSED_FAMILIES else ""
+        assert row == {**expected, "reason": reason}
 
 
 def q_matrices(spec):
@@ -267,7 +270,8 @@ def test_sweep_rows_round_trip_as_csv_and_json(spec):
         expected.update(bits=bits, valid=bv.valid)
         assert csv_row == {**expected, "spec": spec, "exact_count": exact}
         count = None if exact is None else str(exact)
-        assert json_row == {**expected, "n": spec.n, "r": spec.r, "exact_count": count}
+        json_expected = {**expected, "n": spec.n, "r": spec.r, "exact_count": count}
+        assert json_row == {**json_expected, "reason": bv.reason}
 
 
 @settings(PROPERTY_SETTINGS, max_examples=30)
