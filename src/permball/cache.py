@@ -1,20 +1,23 @@
 """Persistent on-disk cache of exact ball sizes, one plain-text file per key.
 
 Records are JSON with the count as a decimal string (counts outgrow every
-fixed width).  Writes go through a temporary file and an atomic rename, so
-concurrent writers of the same key cannot interleave.  Cached values are
-never trusted blindly: the verify command recomputes every record it can
-reach and flags mismatches.
+fixed width); this module alone converts it, under any int/str digit
+limit.  Writes go through a temporary file and an atomic rename, so
+concurrent writers of the same key cannot interleave.  The cache stores
+and validates; ``verify.check_cache`` re-derives what it stores.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 from .core import BallSpec
 from .errors import ValidationError
@@ -29,6 +32,18 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "permball"
 
 
+@contextmanager
+def _any_digits():
+    """Lift Python's int/str digit limit (4,300 by default; 2000! has
+    5,736 digits) for one conversion, then restore the caller's."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 @dataclass(frozen=True)
 class CacheRecord:
     n: int
@@ -40,6 +55,11 @@ class CacheRecord:
 
     def spec(self) -> BallSpec:
         return BallSpec(self.n, self.r)
+
+    @property
+    def count(self) -> int:
+        with _any_digits():
+            return int(self.exact_count)
 
 
 class ResultCache:
@@ -62,6 +82,12 @@ class ResultCache:
         if not path.exists():
             return None
         return self._load(path)
+
+    def records(self) -> Iterator[CacheRecord]:
+        """Every record, in file-name order; an unreadable or misnamed one
+        raises ValidationError when reached."""
+        for path in sorted(self.directory.glob("n*_r*.json")):
+            yield self._load(path)
 
     def _load(self, path: Path) -> CacheRecord:
         try:
@@ -90,55 +116,27 @@ class ResultCache:
     def put(self, spec: BallSpec, count: int, backend: str) -> CacheRecord:
         from . import __version__
 
+        with _any_digits():
+            digits = str(count)
         record = CacheRecord(
             n=spec.n,
             r=spec.r,
-            exact_count=str(count),
+            exact_count=digits,
             backend=backend,
             tool_version=__version__,
             timestamp=datetime.now(timezone.utc).isoformat(),
         )
         path = self.path_for(spec)
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(asdict(record), handle, indent=1)
-                handle.write("\n")
-            os.replace(tmp_name, path)
-        finally:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-        return record
-
-    def audit(self) -> CacheAudit:
-        """Recompute every reachable record.  Records that no backend can
-        recompute within the exact time budget are listed, not checked."""
-        from .oracle import applicable_backends, ball_size_exact
-
-        problems, skipped = [], []
-        for path in sorted(self.directory.glob("n*_r*.json")):
+            fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
-                record = self._load(path)
-            except ValidationError as exc:
-                problems.append(str(exc))
-                continue
-            spec = record.spec()
-            if not applicable_backends(spec):
-                skipped.append(spec)
-                continue
-            recomputed = ball_size_exact(spec)
-            if str(recomputed) != record.exact_count:
-                problems.append(
-                    f"cache mismatch at n={spec.n}, r={spec.r}: stored "
-                    f"{record.exact_count}, recomputed {recomputed}"
-                )
-        return CacheAudit(problems, skipped)
-
-
-@dataclass(frozen=True)
-class CacheAudit:
-    """``ResultCache.audit``'s findings: descriptions of the mismatched
-    and unreadable records, and the specs of the records it skipped."""
-
-    problems: list[str]
-    skipped: list[BallSpec]
+                with os.fdopen(fd, "w") as handle:
+                    json.dump(asdict(record), handle, indent=1)
+                    handle.write("\n")
+                os.replace(tmp_name, path)
+            finally:
+                if os.path.exists(tmp_name):
+                    os.unlink(tmp_name)
+        except OSError as exc:
+            raise ValidationError(f"cannot write cache record {path}: {exc}") from exc
+        return record

@@ -425,7 +425,7 @@ def ball_size_exact_detailed(
             )
     record = cache.get(spec) if cache is not None else None
     if record is not None and not verify:
-        return ExactResult(int(record.exact_count), "cache")
+        return ExactResult(record.count, "cache")
     candidates = [
         b for b in applicable_backends(spec) if backends is None or b in backends
     ]
@@ -437,7 +437,7 @@ def ball_size_exact_detailed(
     run = candidates if verify else candidates[:1]
     results = {b: _BACKENDS[b](spec) for b in run}
     if record is not None:
-        results["cache"] = int(record.exact_count)
+        results["cache"] = record.count
     distinct = set(results.values())
     if len(distinct) != 1:
         raise VerificationError(

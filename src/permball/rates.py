@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .asym import exponent
+from .asym import exponent, step_grid
 from .bounds import best_finite_lower_bound
 from .core import RHO_DENOMINATOR_LIMIT, BallSpec, radius_from_rho
 from .errors import CapacityError, DomainError, ValidationError
@@ -26,10 +26,11 @@ from .scalar import LOG2E, LN2, log2_factorial
 
 KINDS = ("ecc_old", "ecc_new", "cover_old", "cover_new")
 
-# 99-point default grids; the ECC grid ends at delta = 1 where the new
-# bound improves the most, the covering grid straddles rho = 1/2.
-DEFAULT_ECC_GRID = tuple(k / 100 for k in range(2, 101))
-DEFAULT_COVER_GRID = tuple(k / 100 for k in range(1, 100))
+# The figures' 99-point default grids: fig2's ECC grid ends at delta = 1
+# where the new bound improves the most, fig3's covering grid straddles
+# rho = 1/2.
+DEFAULT_ECC_GRID = tuple(step_grid(0.01, 2))
+DEFAULT_COVER_GRID = tuple(step_grid(0.01, 1))
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,17 @@ from .bounds import (
     phi3_low_t_parts,
     vdw_sinkhorn_bound,
 )
+from .cache import ResultCache
 from .core import BallSpec, BandMatrix
 from .errors import PermballError
-from .oracle import ball_size_exact
+from .oracle import (
+    EXACT_MAX_SECONDS,
+    applicable_backends,
+    ball_size_exact,
+    ball_size_exact_detailed,
+)
 from .qmat import q_first_class, q_second_high, q_second_low, sinkhorn_balance
-from .rates import DEFAULT_COVER_GRID, DEFAULT_ECC_GRID, covering_rate_upper, ecc_rate_upper
+from .rates import rate_table
 from .scalar import LN2, LOG2E, alpha_high_root, alpha_low_root, mu_star, t_hat
 
 SINKHORN_HIGH_SPECS = ((4, 2), (6, 4), (8, 5), (10, 7))
@@ -360,34 +366,21 @@ def check_root_quality() -> CheckResult:
 
 
 def _rate_improvements() -> str | None:
-    ecc = [
-        (
-            x,
-            ecc_rate_upper(x, "old").rate_bits,
-            ecc_rate_upper(x, "new").rate_bits,
-        )
-        for x in DEFAULT_ECC_GRID
-    ]
-    for x, old, new in ecc:
-        if new > old + 1e-12:
-            return f"ecc_new {new} above ecc_old {old} at delta={x}"
-    best = max(ecc, key=lambda row: row[1] - row[2])
-    if best[0] != DEFAULT_ECC_GRID[-1]:
-        return f"largest ecc improvement at delta={best[0]}, not the endpoint"
-    cover = [
-        (
-            x,
-            covering_rate_upper(x, "old").rate_bits,
-            covering_rate_upper(x, "new").rate_bits,
-        )
-        for x in DEFAULT_COVER_GRID
-    ]
-    for x, old, new in cover:
-        if new > old + 1e-12:
-            return f"cover_new {new} above cover_old {old} at rho={x}"
-    best = max(cover, key=lambda row: row[1] - row[2])
-    if abs(best[0] - 0.5) > 1e-12:
-        return f"largest covering improvement at rho={best[0]}, not 0.5"
+    # fig2's and fig3's curves on their default grids: the new bound is
+    # nowhere above the old one and gains the most at delta = 1, rho = 1/2.
+    for family, x_name, peak in (("ecc", "delta", 1.0), ("cover", "rho", 0.5)):
+        # Sorted by (kind, x): the new curve, then the old one, on one grid.
+        points = rate_table((f"{family}_old", f"{family}_new"))
+        half = len(points) // 2
+        rows = [
+            (p.x, q.rate_bits, p.rate_bits) for p, q in zip(points[:half], points[half:])
+        ]
+        for x, old, new in rows:
+            if new > old + 1e-12:
+                return f"{family}_new {new} above {family}_old {old} at {x_name}={x}"
+        best = max(rows, key=lambda row: row[1] - row[2])[0]
+        if best != peak:
+            return f"largest {family} improvement at {x_name}={best}, not {peak}"
     return None
 
 
@@ -419,21 +412,24 @@ def check_bethe_vdw_agreement() -> CheckResult:
 
 
 def check_cache(cache_dir) -> CheckResult:
-    """Recompute every cached count.  Records over the time budget are not
+    """Re-derive every cached count the way ``exact --verify`` does, with
+    the first admitted backend.  Records over the time budget are not
     recomputed; a passing result names them."""
-    from .cache import ResultCache
-    from .oracle import EXACT_MAX_SECONDS
-
-    reports = []
+    skipped = []
 
     def audit() -> str | None:
-        reports.append(ResultCache(cache_dir).audit())
-        problems = reports[0].problems
-        return problems[0] if problems else None
+        cache = ResultCache(cache_dir)
+        for record in cache.records():
+            spec = record.spec()
+            first = applicable_backends(spec)[:1]
+            if not first:
+                skipped.append(spec)
+                continue
+            ball_size_exact_detailed(spec, cache=cache, verify=True, backends=first)
+        return None
 
     result = _run(f"cache audit ({cache_dir})", audit)
-    skipped = reports[0].skipped if result.passed else []
-    if not skipped:
+    if not (result.passed and skipped):
         return result
     cells = "; ".join(f"n={spec.n}, r={spec.r}" for spec in skipped)
     plural = "" if len(skipped) == 1 else "s"

@@ -93,6 +93,20 @@ class TestCountsPastTheIntStrLimit:
         code, again, err = run(capsys, *argv)
         assert code == 0 and again == out and "backend: cache" in err
 
+    def test_cache_writes_and_reads_1800_factorial_without_the_cli(self, tmp_path):
+        # 1800! has 5,080 digits; the cache converts them itself and leaves
+        # the caller's limit as it found it.
+        from permball.cache import ResultCache
+        from permball.core import BallSpec
+        from permball.oracle import ball_size_exact_detailed
+
+        cache = ResultCache(tmp_path)
+        for backend in ("closed-form", "cache"):
+            result = ball_size_exact_detailed(BallSpec(1800, 1799), cache=cache)
+            assert (result.value, result.backend) == (math.factorial(1800), backend)
+            assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+        assert len(cache.get(BallSpec(1800, 1799)).exact_count) == 5080
+
     def test_sweep_rows_hold_the_counts(self, capsys, tmp_path):
         # Two cells and two jobs, so the counts are made in pool workers.
         out = tmp_path / "s.csv"
@@ -501,7 +515,7 @@ class TestVerifyCommand:
         # A wrong count is served by exact and caught by the audit; a count
         # with non-ASCII digits is refused by both.
         for count, exact_code, message in (
-            ("99", 0, "mismatch"),
+            ("99", 0, "disagreement at n=4, r=2: {'band-dp': 14, 'cache': 99}"),
             ("7\u00b2", 1, "non-decimal"),
         ):
             cache = tmp_path / f"cache-{exact_code}"
@@ -545,6 +559,22 @@ class TestCacheIOErrors:
             code, _, err = run(capsys, *argv, "--cache-dir", str(cache))
             assert code == expected and message in err
         assert not out.exists()
+
+    def test_denied_write_exits_one(self, capsys, tmp_path, monkeypatch):
+        # As a read-only cache directory does for a user other than root.
+        import tempfile
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(tempfile, "mkstemp", denied)
+        cache = tmp_path / "cache"
+        code, out, err = run(
+            capsys, "exact", "--n", "10", "--r", "3", "--cache-dir", str(cache)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write cache record")
+        assert "n10_r3.json" in err and "Traceback" not in err
 
 
 class TestEnvironment:

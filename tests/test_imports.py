@@ -145,3 +145,16 @@ def test_unread_private_names_are_found():
     assert set(private_definitions(tree)) - read_names(tree) == {
         "_UNUSED", "_left_over", "_Dead",
     }
+
+
+def test_cache_imports_neither_the_dispatcher_nor_verify():
+    # The cache stores counts; checking them is verify's job through the
+    # dispatcher, so cache.py must not import either back.
+    path = Path(permball.__file__).parent / "cache.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert not names & {"oracle", "verify"}, names
