@@ -1,10 +1,11 @@
 """Persistent on-disk cache of exact ball sizes, one plain-text file per key.
 
 Records are JSON with the count as a decimal string (counts outgrow every
-fixed width); this module alone converts it, under any int/str digit
-limit.  Writes go through a temporary file and an atomic rename, so
-concurrent writers of the same key cannot interleave.  The cache stores
-and validates; ``verify.check_cache`` re-derives what it stores.
+fixed width); ``count_text`` and ``parse_count`` convert counts for the
+whole package, under any int/str digit limit.  Writes go through a
+temporary file and an atomic rename, so concurrent writers of the same
+key cannot interleave.  The cache stores and validates;
+``verify.check_cache`` re-derives what it stores.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import BallSpec
 from .errors import ValidationError
@@ -32,16 +32,29 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "permball"
 
 
-@contextmanager
-def _any_digits():
-    """Lift Python's int/str digit limit (4,300 by default; 2000! has
-    5,736 digits) for one conversion, then restore the caller's."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+def _any_digits(convert: Callable, value):
+    """``convert(value)``; if Python's int/str digit limit (4,300 by
+    default; 2000! has 5,736 digits) refuses it, lift the limit for this
+    one conversion and restore the caller's."""
     try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
+        return convert(value)
+    except ValueError:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(value)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
+def count_text(count: int) -> str:
+    """The decimal form of a count of any length."""
+    return _any_digits(str, count)
+
+
+def parse_count(text: str) -> int:
+    """The count a decimal string of any length holds."""
+    return _any_digits(int, text)
 
 
 @dataclass(frozen=True)
@@ -58,8 +71,7 @@ class CacheRecord:
 
     @property
     def count(self) -> int:
-        with _any_digits():
-            return int(self.exact_count)
+        return parse_count(self.exact_count)
 
 
 class ResultCache:
@@ -116,12 +128,10 @@ class ResultCache:
     def put(self, spec: BallSpec, count: int, backend: str) -> CacheRecord:
         from . import __version__
 
-        with _any_digits():
-            digits = str(count)
         record = CacheRecord(
             n=spec.n,
             r=spec.r,
-            exact_count=digits,
+            exact_count=count_text(count),
             backend=backend,
             tool_version=__version__,
             timestamp=datetime.now(timezone.utc).isoformat(),

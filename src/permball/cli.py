@@ -28,7 +28,7 @@ from .bounds import (
     BoundValue,
     finite_bound,
 )
-from .cache import ResultCache, default_cache_dir
+from .cache import ResultCache, count_text, default_cache_dir
 from .core import BallSpec, BandMatrix, parse_rho, radius_from_rho
 from .errors import (
     CapacityError,
@@ -55,8 +55,8 @@ from .verify import full_checks, quick_checks
 
 logger = logging.getLogger("permball")
 
-# The generic sweep families stop here: they hold O(n r) cell arrays, and the
-# Sinkhorn window sums lose relative accuracy in proportion to n/(2r+1).
+# The generic sweep families stop here: they hold O(n r) cell arrays, and
+# their values are not yet proven bounds, so larger n buys no guarantee.
 GENERIC_FAMILY_MAX_N = 500
 
 EXIT_OK = 0
@@ -117,7 +117,7 @@ def cmd_exact(args) -> int:
         spec = BallSpec(args.n, args.r)
     cache = _resolve_cache(args)
     result = ball_size_exact_detailed(spec, verify=args.verify, cache=cache)
-    print(result.value)
+    print(count_text(result.value))
     print(f"backend: {result.backend}", file=sys.stderr)
     return EXIT_OK
 
@@ -393,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Exact counts are printed and cached as decimals of any length (2000!
-    # has 5,736 digits); sweep workers fork and inherit this.
-    sys.set_int_max_str_digits(0)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:

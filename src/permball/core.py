@@ -38,13 +38,6 @@ class BallSpec:
                 f"radius r={self.r} outside 0..n-1={self.n - 1} for n={self.n}"
             )
 
-    @property
-    def rho(self) -> Fraction:
-        """Normalized radius r/(n-1); zero for the degenerate n=1 space."""
-        if self.n == 1:
-            return Fraction(0)
-        return Fraction(self.r, self.n - 1)
-
     # The three radius ranges on which the bounds and the doubly-stochastic
     # constructions split (rho = 1/2 sits at 2r = n-1).
 
@@ -69,7 +62,7 @@ class BandMatrix:
     """Implicit n x n band matrix with ones exactly on |i-j| <= r.
 
     Entries are computed, never stored.  Numeric consumers work on the
-    O(n r) cell list from ``cells`` or on each row's window |i-j| <= r.
+    O(n r) cell list from ``cells`` or on each row's window from ``windows``.
     """
 
     spec: BallSpec
@@ -78,16 +71,21 @@ class BandMatrix:
     def n(self) -> int:
         return self.spec.n
 
+    def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row, zero-based: the first column of its window |i-j| <= r,
+        the window's width, and the index of its first cell in ``cells``."""
+        idx = np.arange(self.n)
+        first = np.maximum(idx - self.spec.r, 0)
+        width = np.minimum(idx + self.spec.r + 1, self.n) - first
+        return first, width, np.cumsum(width) - width
+
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-based (rows, cols) of the |i-j| <= r cells in row-major
         order, built in O(n r) without an n x n mask."""
-        idx = np.arange(self.n)
-        lo = np.maximum(idx - self.spec.r, 0)
-        counts = np.minimum(idx + self.spec.r + 1, self.n) - lo
-        rows = np.repeat(idx, counts)
-        # Column = lo of the row plus the cell's offset within its row.
-        starts = np.cumsum(counts) - counts
-        cols = np.arange(rows.size) + np.repeat(lo - starts, counts)
+        first, width, start = self.windows()
+        rows = np.repeat(np.arange(self.n), width)
+        # Column = first column of the row plus the cell's offset within it.
+        cols = np.arange(rows.size) + np.repeat(first - start, width)
         return rows, cols
 
 

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .cache import ResultCache, count_text
 from .core import BallSpec
 from .errors import CapacityError, ValidationError, VerificationError
-
-if TYPE_CHECKING:
-    from .cache import ResultCache
 
 # One documented capacity limit: the dispatcher admits a backend only
 # where it should count the spec within EXACT_MAX_SECONDS; the backends
@@ -440,8 +438,9 @@ def ball_size_exact_detailed(
         results["cache"] = record.count
     distinct = set(results.values())
     if len(distinct) != 1:
+        shown = ", ".join(f"{b!r}: {count_text(v)}" for b, v in results.items())
         raise VerificationError(
-            f"backend disagreement at n={spec.n}, r={spec.r}: {results}"
+            f"backend disagreement at n={spec.n}, r={spec.r}: {{{shown}}}"
         )
     value = distinct.pop()
     if cache is not None and record is None:

@@ -107,9 +107,6 @@ class StochasticMatrix:
     def is_exact(self) -> bool:
         return self.exact_numerators is not None
 
-    def max_sum_deviation(self) -> float:
-        return _sum_deviation(self.cells, self.values, self.n)
-
     def exactly_doubly_stochastic(self) -> bool:
         """Exact-rational check: every row/column numerator sum equals D."""
         if not self.is_exact:
@@ -117,19 +114,14 @@ class StochasticMatrix:
         num, d = self.exact_numerators, self.exact_denominator
         return all((s == d).all() for s in _line_sums(self.cells, num, self.n))
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
+    def is_symmetric(self) -> bool:
+        """Every cell equals its mirror exactly (on the numerators, when
+        exact): each Q built here is symmetric in IEEE arithmetic."""
         x = self.exact_numerators if self.is_exact else self.values
         rows, cols = self.cells
-        n, r = self.n, self.spec.r
-        # Cell (j, i) sits at row j's start minus its first column, plus i.
-        idx = np.arange(n)
-        first = np.maximum(idx - r, 0)
-        counts = np.minimum(idx + r + 1, n) - first
-        shift = np.cumsum(counts) - counts - first
-        mirrored = x[shift[cols] + rows]
-        if self.is_exact:
-            return bool(np.array_equal(x, mirrored))
-        return bool(np.abs(x - mirrored).max() <= tol)
+        # Cell (j, i) sits at row j's first cell minus its first column, plus i.
+        first, _, start = BandMatrix(self.spec).windows()
+        return bool(np.array_equal(x, x[(start - first)[cols] + rows]))
 
     def support_equals_band(self) -> bool:
         """Every band cell is positive (the cells are the band)."""
@@ -268,10 +260,9 @@ def _window_sums(spec: BallSpec) -> Callable[[np.ndarray], np.ndarray]:
     with c the middle entry of x.  A balanced scale is flat in the middle,
     so that prefix does not grow with n and the difference loses no digits.
     """
-    idx = np.arange(spec.n)
-    lo = np.maximum(idx - spec.r, 0)
-    hi = np.minimum(idx + spec.r + 1, spec.n)
-    width = (hi - lo).astype(float)
+    lo, width, _ = BandMatrix(spec).windows()
+    hi = lo + width
+    width = width.astype(float)
     prefix = np.zeros(spec.n + 1)
 
     def apply(x: np.ndarray) -> np.ndarray:

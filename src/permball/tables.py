@@ -17,6 +17,7 @@ from typing import Any, Iterable, Sequence
 
 from .asym import GapCurvePoint
 from .bounds import BoundValue
+from .cache import count_text, parse_count
 from .core import BallSpec
 from .errors import ValidationError
 from .qmat import StochasticMatrix
@@ -118,7 +119,7 @@ def sweep_row(bv: BoundValue, exact_count: int | None) -> tuple:
         bv.spec.r,
         format_float(bv.bits),
         "true" if bv.valid else "false",
-        "" if exact_count is None else str(exact_count),
+        "" if exact_count is None else count_text(exact_count),
     )
 
 
@@ -127,7 +128,7 @@ def sweep_json_row(bv: BoundValue, exact_count: int | None) -> dict:
     and numbers where the CSV has text; the count stays a decimal string.
     It adds the ``reason`` an invalid value carries ("" for a valid one)."""
     bits = None if math.isnan(bv.bits) else float(bv.bits)
-    count = None if exact_count is None else str(exact_count)
+    count = None if exact_count is None else count_text(exact_count)
     values = (bv.family, bv.direction, bv.spec.n, bv.spec.r, bits, bv.valid, count)
     return {**dict(zip(SWEEP_HEADER, values)), "reason": bv.reason}
 
@@ -146,7 +147,9 @@ def parse_sweep_csv(text: str) -> list[dict]:
                 "spec": BallSpec(int(raw["n"]), int(raw["r"])),
                 "bits": _parse_float(raw["bits"]),
                 "valid": raw["valid"] == "true",
-                "exact_count": int(raw["exact_count"]) if raw["exact_count"] else None,
+                "exact_count": (
+                    parse_count(raw["exact_count"]) if raw["exact_count"] else None
+                ),
             }
         )
     return out

@@ -35,6 +35,7 @@ from .qmat import q_first_class, q_second_high, q_second_low, sinkhorn_balance
 from .rates import rate_table
 from .scalar import LN2, LOG2E, alpha_high_root, alpha_low_root, mu_star, t_hat
 
+SANDWICH_MAX_N = 10
 SINKHORN_HIGH_SPECS = ((4, 2), (6, 4), (8, 5), (10, 7))
 SINKHORN_LOW_BOUNDARY_SPECS = ((6, 2), (8, 3), (10, 4))
 T_DECOMPOSITION_SPECS = ((8, 2), (12, 3), (20, 6))
@@ -82,8 +83,8 @@ def check_oracle_agreement(max_n: int = 8) -> CheckResult:
 # -- bounds bracket the exact counts -------------------------------------
 
 
-def _sandwich(max_n: int) -> str | None:
-    for n in range(2, max_n + 1):
+def _sandwich() -> str | None:
+    for n in range(2, SANDWICH_MAX_N + 1):
         for r in range(0, n):
             spec = BallSpec(n, r)
             exact_bits = math.log2(ball_size_exact(spec))
@@ -111,8 +112,8 @@ def _sandwich(max_n: int) -> str | None:
     return None
 
 
-def check_sandwich(max_n: int = 10) -> CheckResult:
-    return _run(f"sandwich property (n <= {max_n})", lambda: _sandwich(max_n))
+def check_sandwich() -> CheckResult:
+    return _run(f"sandwich property (n <= {SANDWICH_MAX_N})", _sandwich)
 
 
 # -- doubly-stochastic constructions -------------------------------------

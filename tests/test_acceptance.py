@@ -23,7 +23,7 @@ def test_criterion_01_oracle_agreement():
 def test_criterion_02_sandwich_property():
     # Every valid lower family <= log2(exact) <= the factorial-product
     # upper family for n <= 10, with the binomial-sum family strict.
-    report(verify.check_sandwich(max_n=10))
+    report(verify.check_sandwich())
 
 
 def test_criterion_03_double_stochasticity():

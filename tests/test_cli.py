@@ -7,11 +7,17 @@ import sys
 
 import pytest
 
+from permball.bounds import finite_bound
+from permball.cache import count_text
 from permball.cli import main
+from permball.core import BallSpec
 from permball.tables import (
     data_section,
     parse_gap_wide_csv,
     parse_sweep_csv,
+    render_sweep_csv,
+    sweep_json_row,
+    sweep_row,
 )
 
 
@@ -77,8 +83,7 @@ class TestCountsPastTheIntStrLimit:
 
     @pytest.fixture(autouse=True)
     def default_limit(self):
-        # Start from a fresh interpreter's limit; other tests' main() calls
-        # have lifted it in this process.
+        # Run under a fresh interpreter's limit, whatever this process set.
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         yield
@@ -89,15 +94,21 @@ class TestCountsPastTheIntStrLimit:
         code, out, err = run(capsys, *argv)
         assert code == 0 and "backend: closed-form" in err
         assert len(out.strip()) == 5736
-        assert out.strip() == str(math.factorial(2000))
+        assert out.strip() == count_text(math.factorial(2000))
         code, again, err = run(capsys, *argv)
         assert code == 0 and again == out and "backend: cache" in err
+
+    def test_main_leaves_the_limit_as_it_found_it(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "exact", "--n", "4", "--r", "2", "--cache-dir", str(tmp_path)
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
 
     def test_cache_writes_and_reads_1800_factorial_without_the_cli(self, tmp_path):
         # 1800! has 5,080 digits; the cache converts them itself and leaves
         # the caller's limit as it found it.
         from permball.cache import ResultCache
-        from permball.core import BallSpec
         from permball.oracle import ball_size_exact_detailed
 
         cache = ResultCache(tmp_path)
@@ -117,6 +128,15 @@ class TestCountsPastTheIntStrLimit:
         assert code == 0
         counts = [row["exact_count"] for row in parse_sweep_csv(out.read_text())]
         assert counts == [math.factorial(2000), math.factorial(2001)]
+
+    def test_sweep_row_renders_and_parses_2000_factorial_without_the_cli(self):
+        bv = finite_bound("phi1", BallSpec(2000, 1999))
+        count = math.factorial(2000)
+        row = sweep_row(bv, count)
+        assert sweep_json_row(bv, count)["exact_count"] == row[-1]
+        parsed = parse_sweep_csv(render_sweep_csv([row]))
+        assert [p["exact_count"] for p in parsed] == [count]
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
 
 
 class TestSweep:

@@ -158,3 +158,23 @@ def test_cache_imports_neither_the_dispatcher_nor_verify():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(part for alias in node.names for part in alias.name.split("."))
     assert not names & {"oracle", "verify"}, names
+
+
+def test_only_the_cache_changes_the_int_str_digit_limit():
+    # The limit is process-wide: cache.py lifts it for one conversion at a
+    # time and restores it, so no other module may touch it.
+    def names(source):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    callers = {
+        path.name
+        for path in MODULES
+        if "set_int_max_str_digits" in names(path.read_text(encoding="utf-8"))
+    }
+    assert callers == {"cache.py"}, callers

@@ -28,6 +28,13 @@ def exact_entries(q):
     return [[Fraction(int(v), q.exact_denominator) for v in row] for row in numerators]
 
 
+def line_sum_deviation(q):
+    """Largest gap from 1 of a row or column sum of q's dense entries."""
+    dense = q.entries
+    sums = np.concatenate([dense.sum(axis=0), dense.sum(axis=1)])
+    return float(np.abs(sums - 1).max())
+
+
 class TestFirstClass:
     def test_low_regime_entries(self):
         q = exact_entries(q_first_class(BallSpec(5, 1)))
@@ -90,9 +97,9 @@ class TestSecondLow:
     @pytest.mark.parametrize("n,r", [(4, 1), (6, 2), (8, 3), (20, 6), (41, 12), (200, 60)])
     def test_stochasticity_support_symmetry(self, n, r):
         q = q_second_low(BallSpec(n, r))
-        assert q.max_sum_deviation() <= 1e-9
+        assert line_sum_deviation(q) <= 1e-9
         assert q.support_equals_band()
-        assert q.is_symmetric(1e-12)
+        assert q.is_symmetric()
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -115,9 +122,9 @@ class TestSecondHigh:
     @pytest.mark.parametrize("n,r", [(4, 2), (5, 3), (6, 4), (10, 7), (20, 14), (101, 75)])
     def test_stochasticity_support_symmetry(self, n, r):
         q = q_second_high(BallSpec(n, r))
-        assert q.max_sum_deviation() <= 1e-9
+        assert line_sum_deviation(q) <= 1e-9
         assert q.support_equals_band()
-        assert q.is_symmetric(1e-12)
+        assert q.is_symmetric()
         # Reversal symmetry: entries(i,j) = entries(n+1-i, n+1-j).
         assert np.abs(q.entries - q.entries[::-1, ::-1]).max() <= 1e-15
 
@@ -322,7 +329,7 @@ class TestSinkhorn:
         # The band is symmetric and its balanced limit is unique, so the
         # result may not depend on normalizing rows before columns.
         balanced, scales = sinkhorn_balance(BandMatrix(BallSpec(n, r)), tol=1e-10)
-        assert balanced.is_symmetric(tol=1e-9)
+        assert balanced.is_symmetric()
         assert scales.residual == balanced.residual <= 1e-10
 
     @pytest.mark.parametrize("n,r", [*BALANCE_CELLS, (1, 0), (12, 11)])
@@ -385,6 +392,24 @@ class TestSinkhorn:
             sinkhorn_balance(BandMatrix(BallSpec(8, 2)), tol=1e-14)
         assert info.value.residual is not None
         assert info.value.residual > 0
+
+
+class TestExactSymmetry:
+    def test_every_construction_is_symmetric_to_the_bit(self):
+        # is_symmetric compares exactly: a second-class cell reads one
+        # power-table entry at an exponent symmetric in i and j, and a
+        # balanced cell is x_i * x_j, so each mirror pair holds one float.
+        for spec in BATTERY_SPECS_TO_40:
+            for q in battery_matrices(spec):
+                assert q.is_symmetric(), spec
+        for n, r in BALANCE_CELLS:
+            balanced, _ = sinkhorn_balance(BandMatrix(BallSpec(n, r)), tol=1e-10)
+            assert balanced.is_symmetric(), (n, r)
+            # One off-diagonal cell one ulp away from its mirror breaks it.
+            k = np.flatnonzero(balanced.cells[0] != balanced.cells[1])[0]
+            moved = balanced.values.copy()
+            moved[k] = np.nextafter(moved[k], np.inf)
+            assert not dataclasses.replace(balanced, values=moved).is_symmetric()
 
 
 class TestOptimalityOrdering:
