@@ -69,10 +69,6 @@ class CacheRecord:
     def spec(self) -> BallSpec:
         return BallSpec(self.n, self.r)
 
-    @property
-    def count(self) -> int:
-        return parse_count(self.exact_count)
-
 
 class ResultCache:
     """Directory of one record per (n, r)."""

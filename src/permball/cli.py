@@ -28,7 +28,7 @@ from .bounds import (
     BoundValue,
     finite_bound,
 )
-from .cache import ResultCache, count_text, default_cache_dir
+from .cache import ResultCache, default_cache_dir
 from .core import BallSpec, BandMatrix, parse_rho, radius_from_rho
 from .errors import (
     CapacityError,
@@ -117,7 +117,7 @@ def cmd_exact(args) -> int:
         spec = BallSpec(args.n, args.r)
     cache = _resolve_cache(args)
     result = ball_size_exact_detailed(spec, verify=args.verify, cache=cache)
-    print(count_text(result.value))
+    print(result.text)
     print(f"backend: {result.backend}", file=sys.stderr)
     return EXIT_OK
 

@@ -57,6 +57,20 @@ class BallSpec:
         return 2 * self.r > self.n - 1 and self.r < self.n - 1
 
 
+class Cells(tuple):
+    """Zero-based (rows, cols) of a band's cells in row-major order: a pair
+    that unpacks and indexes arrays like one.  ``starts`` holds the index
+    of each row's first cell, so row sums and mirror lookups need no
+    search over ``rows``."""
+
+    starts: np.ndarray
+
+    def __new__(cls, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray):
+        cells = super().__new__(cls, (rows, cols))
+        cells.starts = starts
+        return cells
+
+
 @dataclass(frozen=True)
 class BandMatrix:
     """Implicit n x n band matrix with ones exactly on |i-j| <= r.
@@ -79,14 +93,16 @@ class BandMatrix:
         width = np.minimum(idx + self.spec.r + 1, self.n) - first
         return first, width, np.cumsum(width) - width
 
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+    def cells(self) -> Cells:
         """Zero-based (rows, cols) of the |i-j| <= r cells in row-major
-        order, built in O(n r) without an n x n mask."""
+        order, with each row's first cell, built in O(n r) without an
+        n x n mask."""
         first, width, start = self.windows()
         rows = np.repeat(np.arange(self.n), width)
         # Column = first column of the row plus the cell's offset within it.
-        cols = np.arange(rows.size) + np.repeat(first - start, width)
-        return rows, cols
+        cols = np.repeat(first - start, width)
+        cols += np.arange(rows.size)
+        return Cells(rows, cols, start)
 
 
 def parse_rho(text: str) -> Fraction:

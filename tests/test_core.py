@@ -91,9 +91,12 @@ def test_band_symmetry_and_row_counts(n, r):
     idx = np.arange(n)
     mask = np.abs(idx[:, None] - idx[None, :]) <= r
     assert (dense == mask).all()
-    rows, cols = band.cells()
+    cells = band.cells()
+    rows, cols = cells
     # The cells are the mask's nonzero cells, in the same row-major order.
     assert (rows == np.nonzero(mask)[0]).all() and (cols == np.nonzero(mask)[1]).all()
+    # Each row's first cell, as a search over the sorted rows finds it.
+    assert (cells.starts == np.searchsorted(rows, idx)).all()
 
 
 def test_radius_from_rho():

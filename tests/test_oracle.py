@@ -396,6 +396,27 @@ class TestDispatch:
         with pytest.raises(ValidationError, match="unknown backends"):
             ball_size_exact_detailed(spec, backends=("band-dp", "gpu"))
 
+    def test_cached_text_reads_as_the_count(self, tmp_path):
+        import dataclasses
+        import json
+
+        from permball.cache import ResultCache
+
+        cache = ResultCache(tmp_path)
+        spec = BallSpec(5, 2)
+        cold = ball_size_exact_detailed(spec, cache=cache)
+        assert (cold.value, cold.text) == (31, "31")
+        # A record that pads its digits still prints the count's digits.
+        path = cache.path_for(spec)
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(record, exact_count="0031")))
+        warm = ball_size_exact_detailed(spec, cache=cache)
+        assert (warm.text, warm.value, warm.backend) == ("31", 31, "cache")
+        assert warm == dataclasses.replace(cold, backend="cache")
+        # A replaced count carries no stale text.
+        moved = dataclasses.replace(warm, value=32)
+        assert (moved.value, moved.text) == (32, "32")
+
     def test_no_backend(self):
         with pytest.raises(CapacityError):
             ball_size_exact(BallSpec(100, 40))

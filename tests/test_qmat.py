@@ -141,11 +141,19 @@ class TestSecondHigh:
             q_second_high(BallSpec(7, 6))
 
 
+# Battery specs at n = 150..200, where the band runs up to 40,000 cells.
+LARGE_BATTERY_SPECS = [
+    BallSpec(n, r) for n in (150, 173, 199, 200) for r in verify._battery_radii(n)
+]
+
+
 class TestPerCellDefinitions:
     """Each builder's values equal its per-cell definition, evaluated here
-    on a dense one-based (i, j) grid, bit for bit, for every n <= 40."""
+    on a dense one-based (i, j) grid, bit for bit, for every n <= 40 and
+    the large battery specs."""
 
     SPECS = [BallSpec(n, r) for n in range(1, 41) for r in range(n)]
+    SPECS += LARGE_BATTERY_SPECS
 
     @staticmethod
     def grid(spec):
@@ -216,11 +224,15 @@ class TestLineSums:
         np.add.at(by_col, cells[1], x)
         return by_col
 
+    @staticmethod
+    def rows_by_searched_starts(cells, x, n):
+        return np.add.reduceat(x, np.searchsorted(cells[0], np.arange(n)))
+
     def test_column_sums_match_add_at_bit_for_bit(self):
         # Column sums are added in cell order: any other way of taking
         # them must keep every float sum and residual to the bit.
         rng = np.random.default_rng(20)
-        for spec in BATTERY_SPECS_TO_40:
+        for spec in BATTERY_SPECS_TO_40 + LARGE_BATTERY_SPECS:
             for q in battery_matrices(spec):
                 inputs = [q.values, rng.random(q.values.size)]
                 if q.is_exact:
@@ -229,6 +241,25 @@ class TestLineSums:
                     _, by_col = qmat._line_sums(q.cells, x, spec.n)
                     expected = self.columns_by_add_at(q.cells, x, spec.n)
                     assert by_col.tobytes() == expected.tobytes(), spec
+
+    def test_rows_and_residuals_match_searched_starts_bit_for_bit(self):
+        # The cached row starts sum the same runs as a search over the
+        # rows, so every row sum, numerator sum and residual keeps its bits.
+        for spec in BATTERY_SPECS_TO_40 + LARGE_BATTERY_SPECS:
+            for q in battery_matrices(spec):
+                n = spec.n
+                inputs = [q.values] + ([q.exact_numerators] if q.is_exact else [])
+                for x in inputs:
+                    by_row, _ = qmat._line_sums(q.cells, x, n)
+                    expected = self.rows_by_searched_starts(q.cells, x, n)
+                    assert by_row.dtype == expected.dtype, spec
+                    assert by_row.tobytes() == expected.tobytes(), spec
+                sums = (
+                    self.rows_by_searched_starts(q.cells, q.values, n),
+                    self.columns_by_add_at(q.cells, q.values, n),
+                )
+                residual = max(float(np.abs(s - 1.0).max()) for s in sums)
+                assert np.float64(q.residual).tobytes() == np.float64(residual).tobytes()
 
     def test_exact_check_catches_one_moved_numerator(self):
         rng = np.random.default_rng(21)
@@ -245,8 +276,10 @@ class TestSharedCells:
     @staticmethod
     def check_cells(matrices):
         for q in matrices:
-            for got, expected in zip(q.cells, BandMatrix(q.spec).cells()):
-                assert np.array_equal(got, expected), q.spec
+            expected = BandMatrix(q.spec).cells()
+            pairs = zip((*q.cells, q.cells.starts), (*expected, expected.starts))
+            for got, want in pairs:
+                assert np.array_equal(got, want), q.spec
                 with pytest.raises(ValueError, match="read-only"):
                     got[0] = 1
 
@@ -259,11 +292,20 @@ class TestSharedCells:
         # matrix on them is alive; a spec built again gets a fresh build.
         assert built[1].cells[0] is built[2].cells[0]
         assert built[3].cells[1] is built[4].cells[1]
+        assert built[3].cells.starts is built[4].cells.starts
         assert built[0].cells[0] is not built[3].cells[0]
         del built
         gc.collect()
-        spec, rows, cols = qmat._shared_cells
-        assert spec == a and rows() is None and cols() is None
+        spec, *arrays = qmat._shared_cells
+        assert spec == a and len(arrays) == 3
+        assert all(array() is None for array in arrays)
+
+    def test_sinkhorn_shares_the_builders_cells(self):
+        spec = BallSpec(40, 30)
+        high = q_second_high(spec)
+        balanced, _ = sinkhorn_balance(BandMatrix(spec), tol=1e-12)
+        assert balanced.cells[0] is high.cells[0]
+        assert balanced.cells.starts is high.cells.starts
 
 
 BALANCE_CELLS = [
@@ -353,7 +395,8 @@ class TestSinkhorn:
         from permball import qmat
 
         band = BandMatrix(BallSpec(12, 3))
-        _, plain = sinkhorn_balance(band, tol=1e-10)
+        # Only the scale is kept, so no matrix holds the shared cells.
+        plain = sinkhorn_balance(band, tol=1e-10)[1]
         real_deviation, real_cells = qmat._sum_deviation, BandMatrix.cells
         rechecked, cell_lists = [], []
 

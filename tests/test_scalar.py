@@ -150,6 +150,15 @@ class TestAlphaLowRoot:
         with pytest.raises(DomainError):
             alpha_low_root(True)
 
+    def test_memoised_roots_keep_their_bits_and_the_memo_is_bounded(self):
+        from permball import scalar
+
+        for r in (1, 7, 66):
+            assert alpha_low_root(r) is alpha_low_root(r)
+            assert alpha_low_root(r) == scalar._alpha_root.__wrapped__(r + 1, -1)
+        assert alpha_high_root(200, 132) == scalar._alpha_root.__wrapped__(68, 64)
+        assert scalar._alpha_root.cache_info().maxsize == 1024
+
 
 class TestAlphaHighRoot:
     def test_quadratic_cases(self):

@@ -103,3 +103,21 @@ def test_battery_visits_every_spec(monkeypatch):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     assert verify.check_double_stochasticity(max_n=200).passed
     assert visits == {"q_first_class": 1762, "q_second_low": 776, "q_second_high": 488}
+
+
+def test_battery_builds_each_specs_row_windows_at_most_once(monkeypatch):
+    # The builders share one band layout per spec, and the symmetry check
+    # reads its row starts instead of rebuilding the windows.
+    from permball.core import BallSpec, BandMatrix
+
+    real_windows, calls = BandMatrix.windows, []
+
+    def counted(self):
+        calls.append(self.spec)
+        return real_windows(self)
+
+    monkeypatch.setattr(BandMatrix, "windows", counted)
+    assert verify._double_stochasticity(40) is None
+    specs = [BallSpec(n, r) for n in range(1, 41) for r in verify._battery_radii(n)]
+    assert sorted(set(calls), key=specs.index) == specs
+    assert len(calls) == len(specs)
