@@ -30,7 +30,9 @@ from .scalar import (
 
 @dataclass(frozen=True)
 class BoundValue:
-    """A tagged bound in bits; invalid values carry the violated range."""
+    """A tagged bound in bits; invalid values carry the violated range.  A
+    generic family's value carries its balanced Q's residual (None for the
+    closed families)."""
 
     family: str
     direction: str
@@ -38,6 +40,7 @@ class BoundValue:
     spec: BallSpec
     valid: bool
     reason: str = ""
+    residual: float | None = None
 
 
 def _relative_entropy_terms(

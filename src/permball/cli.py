@@ -136,24 +136,25 @@ def _sweep_cell(families, cache_dir, n: int, r: int) -> list:
     except CapacityError:
         pass
     band = BandMatrix(spec)
-    balanced = None
+    balanced = residual = None
     failure = f"generic families capped at n={GENERIC_FAMILY_MAX_N}"
     if spec.n <= GENERIC_FAMILY_MAX_N and any(f in GENERIC_FAMILIES for f in families):
         try:
             balanced, _ = sinkhorn_balance(band, tol=1e-10)
+            residual = balanced.residual
         except ConvergenceError as exc:
-            failure = str(exc)
+            failure, residual = str(exc), exc.residual
     rows: list[BoundValue] = []
     for family in families:
         if family in CLOSED_FAMILIES:
             rows.append(finite_bound(family, spec))
             continue
-        direction = DIRECTIONS[family]
         if balanced is None:
-            rows.append(BoundValue(family, direction, float("nan"), spec, False, failure))
+            bits, valid, reason = float("nan"), False, failure
         else:
-            bits = GENERIC_FAMILIES[family](band, balanced)
-            rows.append(BoundValue(family, direction, bits, spec, True))
+            bits, valid, reason = GENERIC_FAMILIES[family](band, balanced), True, ""
+        direction = DIRECTIONS[family]
+        rows.append(BoundValue(family, direction, bits, spec, valid, reason, residual))
     return [(bv, exact_count) for bv in sorted(rows, key=lambda b: b.family)]
 
 

@@ -61,9 +61,11 @@ class Cells(tuple):
     """Zero-based (rows, cols) of a band's cells in row-major order: a pair
     that unpacks and indexes arrays like one.  ``starts`` holds the index
     of each row's first cell, so row sums and mirror lookups need no
-    search over ``rows``."""
+    search over ``rows``.  ``mirror``, None until a symmetry check builds
+    it, holds the index of each cell's mirror (j, i)."""
 
     starts: np.ndarray
+    mirror: np.ndarray | None = None
 
     def __new__(cls, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray):
         cells = super().__new__(cls, (rows, cols))

@@ -26,12 +26,13 @@ STOCHASTIC_TOL = 1e-9
 # n <= 160 and over sampled r at n from 500 to 10^5.
 SINKHORN_MAX_ITER = 1_000
 
-# The band cells of the spec built last, as one tuple (spec, then weak
-# references to its rows, cols and row starts), so the three builders and
-# Sinkhorn share one build per spec.  One read of the tuple never pairs a
-# spec with another spec's arrays, and the weak references leave their
-# lifetime to the matrices built on them.
-_shared_cells: tuple[BallSpec, weakref.ref, weakref.ref, weakref.ref] | None = None
+# The band cells of the spec built last, as one tuple: the spec, then weak
+# references to its rows, cols, row starts and (None until a symmetry
+# check builds it) mirror index, so the builders and Sinkhorn share one
+# build per spec.  One read of the tuple never pairs a spec with another
+# spec's arrays, and the weak references leave their lifetime to the
+# matrices built on them.
+_shared_cells: tuple | None = None
 
 
 def _band_cells(spec: BallSpec) -> Cells:
@@ -40,33 +41,40 @@ def _band_cells(spec: BallSpec) -> Cells:
     global _shared_cells
     entry = _shared_cells
     if entry is not None and entry[0] == spec:
-        arrays = [ref() for ref in entry[1:]]
+        *arrays, mirror = [ref and ref() for ref in entry[1:]]
         if all(a is not None for a in arrays):
-            return Cells(*arrays)
+            cells = Cells(*arrays)
+            cells.mirror = mirror
+            return cells
     cells = BandMatrix(spec).cells()
     arrays = (*cells, cells.starts)
     for a in arrays:
         a.flags.writeable = False
-    _shared_cells = (spec, *map(weakref.ref, arrays))
+    _shared_cells = (spec, *map(weakref.ref, arrays), None)
     return cells
 
 
-def _line_sums(cells: Cells, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of the cell values x, in x's dtype, so integer
-    numerators sum exactly.  Each row's cells are one contiguous run from
-    its start.  ``np.bincount`` would copy read-only (shared) column indices
-    and cast integer numerators to float on every call; ``np.add.at`` does
-    neither."""
-    _, cols = cells
-    by_row = np.add.reduceat(x, cells.starts)
-    by_col = np.zeros(n, dtype=x.dtype)
-    np.add.at(by_col, cols, x)
-    return by_row, by_col
+def _mirror(cells: Cells) -> np.ndarray:
+    """``cells.mirror``, built on first use, read-only, and shared with the
+    later ``_band_cells`` of its spec while it is alive."""
+    global _shared_cells
+    if cells.mirror is None:
+        rows, cols = cells
+        # Cell (j, i) sits at row j's first cell minus its first column, plus i.
+        start = cells.starts
+        cells.mirror = (start - cols[start])[cols]
+        cells.mirror += rows
+        cells.mirror.flags.writeable = False
+        if _shared_cells is not None and _shared_cells[1]() is rows:
+            _shared_cells = (*_shared_cells[:4], weakref.ref(cells.mirror))
+    return cells.mirror
 
 
-def _sum_deviation(cells: Cells, values: np.ndarray, n: int) -> float:
-    """Max deviation of any row or column sum from 1."""
-    return float(max(np.abs(s - 1.0).max() for s in _line_sums(cells, values, n)))
+def _sum_deviation(cells: Cells, values: np.ndarray) -> float:
+    """Max deviation of any row sum from 1, each row's cells being one run
+    from its start.  No column is summed: every matrix here is exactly
+    symmetric, so each column holds its row's values."""
+    return float(np.abs(np.add.reduceat(values, cells.starts) - 1.0).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +85,8 @@ class StochasticMatrix:
     The first class construction additionally carries exact integer
     numerators on the same cells over a common denominator, so double
     stochasticity can be asserted with equality rather than a tolerance.
-    ``residual`` records the achieved max row/column-sum deviation.
+    Every matrix built here is exactly symmetric, so its column sums are
+    its row sums, and ``residual`` records the max row-sum deviation.
     """
 
     spec: BallSpec
@@ -108,22 +117,18 @@ class StochasticMatrix:
         return self.exact_numerators is not None
 
     def exactly_doubly_stochastic(self) -> bool:
-        """Exact-rational check: every row/column numerator sum equals D."""
+        """Exact-rational check: every row numerator sum equals D and the
+        numerators are symmetric, so every column sum equals D too."""
         if not self.is_exact:
             raise ValidationError("matrix was not built in exact mode")
-        num, d = self.exact_numerators, self.exact_denominator
-        return all((s == d).all() for s in _line_sums(self.cells, num, self.n))
+        sums = np.add.reduceat(self.exact_numerators, self.cells.starts)
+        return bool((sums == self.exact_denominator).all()) and self.is_symmetric()
 
     def is_symmetric(self) -> bool:
         """Every cell equals its mirror exactly (on the numerators, when
         exact): each Q built here is symmetric in IEEE arithmetic."""
         x = self.exact_numerators if self.is_exact else self.values
-        rows, cols = self.cells
-        # Cell (j, i) sits at row j's first cell minus its first column, plus i.
-        start = self.cells.starts
-        mirror = (start - cols[start])[cols]
-        mirror += rows
-        return bool(np.array_equal(x, x[mirror]))
+        return bool(np.array_equal(x, x[_mirror(self.cells)]))
 
     def support_equals_band(self) -> bool:
         """Every band cell is positive (the cells are the band)."""
@@ -138,11 +143,12 @@ def _finish(
     numerators: np.ndarray | None = None,
     denominator: int | None = None,
 ) -> StochasticMatrix:
-    """The constructed matrix, once its line sums are 1 within
-    STOCHASTIC_TOL (and exactly, where it has numerators) and every band
-    cell is positive."""
+    """The constructed matrix, once its row sums are 1 within
+    STOCHASTIC_TOL, every band cell is positive, its numerator rows (the
+    first class's) sum to the denominator exactly, and every cell equals
+    its mirror exactly, which makes each column sum its row's."""
     where = f"at n={spec.n}, r={spec.r}"
-    residual = _sum_deviation(cells, values, spec.n)
+    residual = _sum_deviation(cells, values)
     if residual > STOCHASTIC_TOL:
         raise ConvergenceError(
             f"constructed matrix misses double stochasticity {where}: "
@@ -154,10 +160,13 @@ def _finish(
         raise ValidationError(
             f"constructed matrix support differs from the band {where}"
         )
-    if sm.is_exact and not sm.exactly_doubly_stochastic():
+    if sm.is_exact and (np.add.reduceat(numerators, cells.starts) != denominator).any():
         raise ValidationError(
             f"constructed matrix rational sums differ from 1 {where}"
         )
+    if not sm.is_symmetric():
+        kind = "first-class" if sm.is_exact else "second-class"
+        raise ValidationError(f"{kind} asymmetry {where}: a cell is not its mirror")
     return sm
 
 
@@ -283,9 +292,11 @@ def sinkhorn_balance(
     The band A is symmetric, so its balanced limit is x_i * A_ij * x_j for
     one vector x.  Each sweep takes s = x * (A x), one O(n) window sum, and
     sets x to x / sqrt(s) (Knight, 2008); the sweep count does not depend
-    on n or rho.  At convergence the band cells are built and their line
-    sums give the returned residual.  Returns the matrix and x; raises
-    ConvergenceError carrying the residual after SINKHORN_MAX_ITER sweeps.
+    on n or rho.  At convergence the band cells x_i * x_j are built and
+    their row sums give the returned residual; x_i * x_j = x_j * x_i in
+    IEEE arithmetic, so each column holds its row's values.  Returns the
+    matrix and x; raises ConvergenceError carrying the residual after
+    SINKHORN_MAX_ITER sweeps.
     """
     spec = band.spec
     cells = _band_cells(spec)
@@ -298,7 +309,7 @@ def sinkhorn_balance(
         residual = float(np.abs(sums - 1.0).max())
         if residual <= tol:
             values = x[cells[0]] * x[cells[1]]
-            residual = _sum_deviation(cells, values, spec.n)
+            residual = _sum_deviation(cells, values)
             if residual <= tol:
                 break
         x /= np.sqrt(sums)

@@ -126,11 +126,13 @@ def sweep_row(bv: BoundValue, exact_count: int | None) -> tuple:
 def sweep_json_row(bv: BoundValue, exact_count: int | None) -> dict:
     """``sweep_row`` as a JSON object: null for a missing value, a boolean
     and numbers where the CSV has text; the count stays a decimal string.
-    It adds the ``reason`` an invalid value carries ("" for a valid one)."""
+    It adds the ``reason`` an invalid value carries ("" for a valid one)
+    and the ``residual`` of a generic family's balanced Q (else null)."""
     bits = None if math.isnan(bv.bits) else float(bv.bits)
     count = None if exact_count is None else count_text(exact_count)
     values = (bv.family, bv.direction, bv.spec.n, bv.spec.r, bits, bv.valid, count)
-    return {**dict(zip(SWEEP_HEADER, values)), "reason": bv.reason}
+    row = dict(zip(SWEEP_HEADER, values))
+    return {**row, "reason": bv.reason, "residual": bv.residual}
 
 
 def render_sweep_csv(rows: Iterable[tuple], comments: Sequence[str] = ()) -> str:

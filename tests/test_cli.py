@@ -10,7 +10,8 @@ import pytest
 from permball.bounds import finite_bound
 from permball.cache import count_text
 from permball.cli import main
-from permball.core import BallSpec
+from permball.core import BallSpec, BandMatrix
+from permball.qmat import sinkhorn_balance
 from permball.tables import (
     data_section,
     parse_gap_wide_csv,
@@ -293,7 +294,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "sinkhorn_balance", no_convergence)
         families = ("bethe_generic", "phi3", "vdw_generic")
-        reasons = {}
+        reasons, residuals = {}, {}
         for n, r in ((6, 2), (501, 1)):
             cell = cli._sweep_cell(families, None, n, r)
             by_family = {bv.family: bv for bv, _ in cell}
@@ -301,7 +302,11 @@ class TestSweep:
             for family in ("bethe_generic", "vdw_generic"):
                 assert not by_family[family].valid
                 reasons[n, family] = by_family[family].reason
+                residuals[n, family] = by_family[family].residual
         assert calls == [BallSpec(6, 2)]
+        # A failed balancing keeps its residual; a capped cell has none.
+        assert residuals[6, "vdw_generic"] == residuals[6, "bethe_generic"] == 1.0
+        assert residuals[501, "vdw_generic"] is None
         assert reasons[6, "vdw_generic"] == "did not converge"
         assert reasons[6, "bethe_generic"] == "did not converge"
         assert reasons[501, "vdw_generic"] == "generic families capped at n=500"
@@ -318,6 +323,25 @@ class TestSweep:
         assert payload["rows"][0]["exact_count"] == "14"
         assert payload["rows"][0]["family"] == "phi1"
         assert payload["rows"][0]["reason"] == ""
+
+    def test_json_generic_rows_carry_the_balanced_residual(self, capsys, tmp_path):
+        out = {fmt: tmp_path / f"s.{fmt}" for fmt in ("csv", "json")}
+        for fmt, path in out.items():
+            code, _, _ = run(
+                capsys, "sweep", "--n", "40", "--r", "10",
+                "--families", "phi1,vdw_generic,bethe_generic",
+                "--format", fmt, "--out", str(path),
+                "--cache-dir", str(tmp_path / "c"), "--jobs", "1",
+            )
+            assert code == 0
+        payload = json.loads(out["json"].read_text())
+        rows = {row["family"]: row for row in payload["rows"]}
+        balanced, _ = sinkhorn_balance(BandMatrix(BallSpec(40, 10)), tol=1e-10)
+        assert rows["vdw_generic"]["residual"] == balanced.residual <= 1e-10
+        assert rows["bethe_generic"]["residual"] == balanced.residual
+        assert rows["phi1"]["residual"] is None
+        # The CSV keeps its columns: no residual there.
+        assert "residual" not in out["csv"].read_text()
 
     def test_json_rows_say_why_a_value_is_invalid(self, capsys, tmp_path):
         # Phi1 at r = 1,500,000 reads past the log2-factorial table; the

@@ -178,3 +178,35 @@ def test_only_the_cache_changes_the_int_str_digit_limit():
         if "set_int_max_str_digits" in names(path.read_text(encoding="utf-8"))
     }
     assert callers == {"cache.py"}, callers
+
+
+def dotted_names(source):
+    """Every attribute chain read in ``source``, as dotted text."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            while isinstance(node.value, ast.Attribute):
+                node = node.value
+                parts.append(node.attr)
+            if isinstance(node.value, ast.Name):
+                yield ".".join([node.value.id, *reversed(parts)])
+
+
+COLUMN_SCATTERS = {"np.add.at", "np.bincount", "numpy.add.at", "numpy.bincount"}
+
+
+def test_qmat_sums_no_column():
+    # Every Q is checked to be exactly symmetric when it is built, so its
+    # column sums are its row sums; a column scatter has no place there.
+    path = Path(permball.__file__).parent / "qmat.py"
+    assert not COLUMN_SCATTERS & set(dotted_names(path.read_text(encoding="utf-8")))
+
+
+def test_column_scatters_are_found():
+    source = (
+        "import numpy as np\n"
+        "np.add.at(s, cols, x)\n"
+        "f = np.bincount\n"
+        "np.add.reduceat(x, i)\n"
+    )
+    assert COLUMN_SCATTERS & set(dotted_names(source)) == {"np.add.at", "np.bincount"}

@@ -134,6 +134,86 @@ class TestModularDP:
         assert all(0 < m < 1 << oracle.RESIDUE_BITS for m in moduli)
         assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
 
+    @staticmethod
+    def is_prime(m):
+        # Miller-Rabin to the first twelve prime bases, which decide every
+        # m below 3.3e24 (Sorenson and Webster).
+        d, s = m - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            x = pow(a, d, m)
+            if x in (1, m - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % m
+                if x == m - 1:
+                    break
+            else:
+                return False
+        return True
+
+    @staticmethod
+    def greedy_moduli(bound):
+        # The largest integers coprime to the ones already taken.
+        moduli, product, m = [], 1, (1 << oracle.RESIDUE_BITS) - 1
+        while product <= bound:
+            if all(math.gcd(m, q) == 1 for q in moduli):
+                moduli.append(m)
+                product *= m
+            m -= 1
+        return moduli
+
+    def test_moduli_are_the_largest_primes_and_no_more_than_greedy_ones(self):
+        cells = [(n, r) for n in range(1, 121) for r in range(min(n, 40))]
+        cells += [(n, r) for r, n in enumerate(oracle.MODULAR_DP_MAX_N) if r >= 4]
+        longest = []
+        for n, r in cells:
+            bound = oracle._degree_product(BallSpec(n, r))
+            moduli = oracle._moduli(bound)
+            assert math.prod(moduli) > bound >= math.prod(moduli[:-1]), (n, r)
+            assert len(moduli) <= len(self.greedy_moduli(bound)), (n, r)
+            longest = max(longest, moduli, key=len)
+        # Every odd number from 2^56 - 1 down to the last modulus taken.
+        odd = range((1 << oracle.RESIDUE_BITS) - 1, longest[-1] - 1, -2)
+        assert [m for m in odd if self.is_prime(m)] == longest
+
+    @pytest.mark.parametrize(
+        "n, r, k", [(93000, 1, 2633), (52148, 2, 2163), (100, 7, 7), (22, 13, 2)]
+    )
+    def test_modulus_count_at_the_frontier(self, n, r, k):
+        moduli = oracle._moduli(oracle._degree_product(BallSpec(n, r)))
+        assert len(moduli) == k
+        assert all(map(self.is_prime, moduli))
+
+    def test_primes_continue_past_the_first_sieve_window(self):
+        # The first SIEVE_SPAN integers below 2^56 hold 3,384 primes.
+        top = 1 << oracle.RESIDUE_BITS
+        primes = list(itertools.islice(oracle._descending_primes(top), 3400))
+        assert primes == sorted(set(primes), reverse=True)
+        assert primes[3383] >= top - oracle.SIEVE_SPAN > primes[3384]
+        odd = range(primes[3370], primes[-1] - 1, -2)
+        assert [m for m in odd if self.is_prime(m)] == primes[3370:]
+
+    def test_an_interrupted_search_keeps_the_primes_it_had(self, monkeypatch):
+        bound = oracle._degree_product(BallSpec(300, 5))
+        expected = oracle._moduli(bound)
+        monkeypatch.setattr(oracle, "_PRIMES", expected[:3])
+        real, calls = oracle._is_prime, []
+
+        def interrupted(m):
+            calls.append(m)
+            if len(calls) == 20:
+                raise KeyboardInterrupt
+            return real(m)
+
+        monkeypatch.setattr(oracle, "_is_prime", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            oracle._moduli(bound)
+        assert oracle._PRIMES == expected[:3]
+        assert oracle._moduli(bound) == expected
+        assert oracle._PRIMES == expected
+
     def test_degree_product_equals_the_row_by_row_product(self):
         for n in range(1, 121):
             for r in range(min(n, 40)):

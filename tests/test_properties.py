@@ -154,6 +154,12 @@ def test_sweep_json_rows_equal_parsed_csv_rows(n_values, families):
         exact = row["exact_count"]
         row.update(spec=spec, exact_count=None if exact is None else int(exact))
         family = expected["family"]
+        # Only a generic family's row has a balanced Q and so a residual.
+        residual = row.pop("residual")
+        if family in CLOSED_FAMILIES:
+            assert residual is None
+        else:
+            assert 0 <= residual <= 1e-10
         reason = finite_bound(family, spec).reason if family in CLOSED_FAMILIES else ""
         assert row == {**expected, "reason": reason}
 
@@ -274,7 +280,9 @@ def test_sweep_rows_round_trip_as_csv_and_json(spec):
         assert csv_row == {**expected, "spec": spec, "exact_count": exact}
         count = None if exact is None else str(exact)
         json_expected = {**expected, "n": spec.n, "r": spec.r, "exact_count": count}
-        assert json_row == {**json_expected, "reason": bv.reason}
+        json_expected.update(reason=bv.reason, residual=bv.residual)
+        assert json_row == json_expected
+        assert (bv.residual is None) == (bv.family in CLOSED_FAMILIES)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=30)

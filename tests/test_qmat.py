@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 
 from permball import qmat, verify
 from permball.core import BallSpec, BandMatrix
-from permball.errors import ConvergenceError, DomainError
+from permball.errors import ConvergenceError, DomainError, ValidationError
 from permball.qmat import (
     q_first_class,
     q_second_high,
@@ -219,28 +220,33 @@ def battery_matrices(spec):
 
 class TestLineSums:
     @staticmethod
-    def columns_by_add_at(cells, x, n):
-        by_col = np.zeros(n, dtype=x.dtype)
-        np.add.at(by_col, cells[1], x)
-        return by_col
+    def add_at(index, x, n):
+        sums = np.zeros(n, dtype=x.dtype)
+        np.add.at(sums, index, x)
+        return sums
 
     @staticmethod
     def rows_by_searched_starts(cells, x, n):
         return np.add.reduceat(x, np.searchsorted(cells[0], np.arange(n)))
 
     def test_column_sums_match_add_at_bit_for_bit(self):
-        # Column sums are added in cell order: any other way of taking
-        # them must keep every float sum and residual to the bit.
-        rng = np.random.default_rng(20)
-        for spec in BATTERY_SPECS_TO_40 + LARGE_BATTERY_SPECS:
-            for q in battery_matrices(spec):
-                inputs = [q.values, rng.random(q.values.size)]
-                if q.is_exact:
-                    inputs.append(q.exact_numerators)
-                for x in inputs:
-                    _, by_col = qmat._line_sums(q.cells, x, spec.n)
-                    expected = self.columns_by_add_at(q.cells, x, spec.n)
-                    assert by_col.tobytes() == expected.tobytes(), spec
+        # qmat sums no column: each matrix is exactly symmetric, so added
+        # in cell order, column j meets row j's values in row j's order,
+        # and its sum is row j's to the bit.
+        built = (
+            q for spec in BATTERY_SPECS_TO_40 + LARGE_BATTERY_SPECS
+            for q in battery_matrices(spec)
+        )
+        balanced = (
+            sinkhorn_balance(BandMatrix(BallSpec(n, r)), tol=1e-10)[0]
+            for n, r in BALANCE_CELLS
+        )
+        for q in itertools.chain(built, balanced):
+            rows, cols = q.cells
+            inputs = [q.values] + ([q.exact_numerators] if q.is_exact else [])
+            for x in inputs:
+                by_col = self.add_at(cols, x, q.n)
+                assert by_col.tobytes() == self.add_at(rows, x, q.n).tobytes(), q.spec
 
     def test_rows_and_residuals_match_searched_starts_bit_for_bit(self):
         # The cached row starts sum the same runs as a search over the
@@ -250,15 +256,12 @@ class TestLineSums:
                 n = spec.n
                 inputs = [q.values] + ([q.exact_numerators] if q.is_exact else [])
                 for x in inputs:
-                    by_row, _ = qmat._line_sums(q.cells, x, n)
+                    by_row = np.add.reduceat(x, q.cells.starts)
                     expected = self.rows_by_searched_starts(q.cells, x, n)
                     assert by_row.dtype == expected.dtype, spec
                     assert by_row.tobytes() == expected.tobytes(), spec
-                sums = (
-                    self.rows_by_searched_starts(q.cells, q.values, n),
-                    self.columns_by_add_at(q.cells, q.values, n),
-                )
-                residual = max(float(np.abs(s - 1.0).max()) for s in sums)
+                rows = self.rows_by_searched_starts(q.cells, q.values, n)
+                residual = float(np.abs(rows - 1.0).max())
                 assert np.float64(q.residual).tobytes() == np.float64(residual).tobytes()
 
     def test_exact_check_catches_one_moved_numerator(self):
@@ -277,7 +280,15 @@ class TestSharedCells:
     def check_cells(matrices):
         for q in matrices:
             expected = BandMatrix(q.spec).cells()
-            pairs = zip((*q.cells, q.cells.starts), (*expected, expected.starts))
+            rows, cols = expected
+            # The k-th cell (i, j) in column-major order mirrors the k-th
+            # cell (j, i) in row-major order.
+            mirror = np.empty_like(rows)
+            mirror[np.lexsort((rows, cols))] = np.arange(rows.size)
+            pairs = zip(
+                (*q.cells, q.cells.starts, q.cells.mirror),
+                (*expected, expected.starts, mirror),
+            )
             for got, want in pairs:
                 assert np.array_equal(got, want), q.spec
                 with pytest.raises(ValueError, match="read-only"):
@@ -288,17 +299,39 @@ class TestSharedCells:
         built = [q_first_class(a), q_first_class(b), q_second_low(b)]
         built += [q_first_class(a), q_second_low(a)]
         self.check_cells(built)
-        # A builder reuses the cells of the spec built last while a
-        # matrix on them is alive; a spec built again gets a fresh build.
+        # A builder reuses the cells and the mirror index of the spec
+        # built last while a matrix on them is alive; a spec built again
+        # gets a fresh build of both.
         assert built[1].cells[0] is built[2].cells[0]
+        assert built[1].cells.mirror is built[2].cells.mirror
         assert built[3].cells[1] is built[4].cells[1]
         assert built[3].cells.starts is built[4].cells.starts
+        assert built[3].cells.mirror is built[4].cells.mirror
         assert built[0].cells[0] is not built[3].cells[0]
+        assert built[0].cells.mirror is not built[3].cells.mirror
         del built
         gc.collect()
         spec, *arrays = qmat._shared_cells
-        assert spec == a and len(arrays) == 3
+        assert spec == a and len(arrays) == 4
         assert all(array() is None for array in arrays)
+
+    def test_battery_builds_one_mirror_per_spec_and_sinkhorn_none(self, monkeypatch):
+        real_mirror, built = qmat._mirror, []
+
+        def counted(cells):
+            if cells.mirror is None:
+                built.append(cells)
+            return real_mirror(cells)
+
+        monkeypatch.setattr(qmat, "_mirror", counted)
+        assert verify._double_stochasticity(40) is None
+        assert len(built) == len(BATTERY_SPECS_TO_40)
+        del built[:]
+        for n, r in BALANCE_CELLS:
+            balanced, _ = sinkhorn_balance(BandMatrix(BallSpec(n, r)), tol=1e-10)
+            assert balanced.cells.mirror is None
+            assert qmat._shared_cells[4] is None
+        assert built == []
 
     def test_sinkhorn_shares_the_builders_cells(self):
         spec = BallSpec(40, 30)
@@ -306,6 +339,7 @@ class TestSharedCells:
         balanced, _ = sinkhorn_balance(BandMatrix(spec), tol=1e-12)
         assert balanced.cells[0] is high.cells[0]
         assert balanced.cells.starts is high.cells.starts
+        assert balanced.cells.mirror is high.cells.mirror
 
 
 BALANCE_CELLS = [
@@ -400,9 +434,9 @@ class TestSinkhorn:
         real_deviation, real_cells = qmat._sum_deviation, BandMatrix.cells
         rechecked, cell_lists = [], []
 
-        def first_recheck_fails(cells, values, n):
+        def first_recheck_fails(cells, values):
             rechecked.append(values)
-            return np.inf if len(rechecked) == 1 else real_deviation(cells, values, n)
+            return np.inf if len(rechecked) == 1 else real_deviation(cells, values)
 
         def counted_cells(self):
             cell_lists.append(self.spec)
@@ -419,6 +453,10 @@ class TestSinkhorn:
         assert rechecked[0] is not rechecked[1] and balanced.values is rechecked[1]
         assert cell_lists == [band.spec]
         assert balanced.residual <= 1e-10
+        # The residual is the row-sum deviation; no mirror index is built.
+        rows = np.add.reduceat(balanced.values, balanced.cells.starts)
+        assert balanced.residual == float(np.abs(rows - 1.0).max())
+        assert balanced.cells.mirror is None
 
     def test_scaling_vectors_reconstruct_matrix(self):
         band = BandMatrix(BallSpec(7, 4))
@@ -453,6 +491,79 @@ class TestExactSymmetry:
             moved = balanced.values.copy()
             moved[k] = np.nextafter(moved[k], np.inf)
             assert not dataclasses.replace(balanced, values=moved).is_symmetric()
+
+
+CONTRACT_SPECS = BATTERY_SPECS_TO_40 + [BallSpec(200, r) for r in (66, 132, 199)]
+
+
+def cell(q, i, j):
+    """Position of the zero-based cell (i, j) in q's cell list."""
+    return int(np.flatnonzero((q.cells[0] == i) & (q.cells[1] == j))[0])
+
+
+class TestSymmetryContract:
+    """Each construction is checked for exact symmetry when it is built,
+    so its column sums, which qmat never takes, are its row sums."""
+
+    @staticmethod
+    def line_sums(q, x):
+        rows, cols = q.cells
+        by_row, by_col = np.zeros(q.n, x.dtype), np.zeros(q.n, x.dtype)
+        np.add.at(by_row, rows, x)
+        np.add.at(by_col, cols, x)
+        return by_row, by_col
+
+    def test_columns_sum_like_rows(self):
+        for spec in CONTRACT_SPECS:
+            balanced, _ = sinkhorn_balance(BandMatrix(spec), tol=1e-10)
+            for q in [*battery_matrices(spec), balanced]:
+                by_row, by_col = self.line_sums(q, q.values)
+                bound = 2 * spec.n * np.finfo(float).eps
+                assert np.abs(by_col - by_row).max() <= bound, spec
+                assert np.abs(by_col - 1).max() <= qmat.STOCHASTIC_TOL, spec
+                if q.is_exact:
+                    by_row, by_col = self.line_sums(q, q.exact_numerators)
+                    assert (by_col == by_row).all(), spec
+                    assert (by_col == q.exact_denominator).all(), spec
+
+    @staticmethod
+    def asymmetric_numerators(q):
+        """q's numerators doubled over 2D, one unit moved from (i, i) to
+        (i, i+1): every row still sums to 2D, columns i and i+1 do not,
+        and a 3-cycle minus its transpose: every line sums to 2D."""
+        i = q.n // 2 - 1
+        moved = 2 * q.exact_numerators
+        moved[cell(q, i, i)] -= 1
+        moved[cell(q, i, i + 1)] += 1
+        cycled = 2 * q.exact_numerators
+        for a, b in ((i - 1, i), (i, i + 1), (i + 1, i - 1)):
+            cycled[cell(q, a, b)] += 1
+            cycled[cell(q, b, a)] -= 1
+        return moved, cycled
+
+    def test_asymmetric_exact_numerators_are_refused(self):
+        for spec in filter(lambda s: s.r >= 2 and s.n >= 4, CONTRACT_SPECS):
+            q = q_first_class(spec)
+            for num in self.asymmetric_numerators(q):
+                d = 2 * q.exact_denominator
+                assert (np.add.reduceat(num, q.cells.starts) == d).all(), spec
+                broken = dataclasses.replace(
+                    q, exact_numerators=num, exact_denominator=d
+                )
+                assert not broken.exactly_doubly_stochastic(), spec
+                with pytest.raises(ValidationError, match="first-class asymmetry"):
+                    qmat._finish(
+                        spec, q.cells, num / d, numerators=num, denominator=d
+                    )
+
+    def test_second_class_cell_one_ulp_off_its_mirror_is_refused(self):
+        for spec in CONTRACT_SPECS:
+            for q in list(battery_matrices(spec))[1:]:
+                k = cell(q, 0, 1)
+                values = q.values.copy()
+                values[k] = np.nextafter(values[k], np.inf)
+                with pytest.raises(ValidationError, match="second-class asymmetry"):
+                    qmat._finish(spec, q.cells, values)
 
 
 class TestOptimalityOrdering:
