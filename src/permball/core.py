@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -57,20 +58,29 @@ class BallSpec:
         return 2 * self.r > self.n - 1 and self.r < self.n - 1
 
 
-class Cells(tuple):
-    """Zero-based (rows, cols) of a band's cells in row-major order: a pair
-    that unpacks and indexes arrays like one.  ``starts`` holds the index
-    of each row's first cell, so row sums and mirror lookups need no
-    search over ``rows``.  ``mirror``, None until a symmetry check builds
-    it, holds the index of each cell's mirror (j, i)."""
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """Zero-based ``rows`` and ``cols`` of a band's cells in row-major
+    order, read-only.  ``starts`` holds the index of each row's first cell,
+    so row sums and mirror lookups need no search over ``rows``."""
 
+    rows: np.ndarray
+    cols: np.ndarray
     starts: np.ndarray
-    mirror: np.ndarray | None = None
 
-    def __new__(cls, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray):
-        cells = super().__new__(cls, (rows, cols))
-        cells.starts = starts
-        return cells
+    def __post_init__(self):
+        for array in (self.rows, self.cols, self.starts):
+            array.flags.writeable = False
+
+    @cached_property
+    def mirror(self) -> np.ndarray:
+        """The index of each cell's mirror (j, i), built on first use and
+        then read by every holder of this record."""
+        # Cell (j, i) sits at row j's first cell minus its first column, plus i.
+        mirror = (self.starts - self.cols[self.starts])[self.cols]
+        mirror += self.rows
+        mirror.flags.writeable = False
+        return mirror
 
 
 @dataclass(frozen=True)
@@ -96,9 +106,8 @@ class BandMatrix:
         return first, width, np.cumsum(width) - width
 
     def cells(self) -> Cells:
-        """Zero-based (rows, cols) of the |i-j| <= r cells in row-major
-        order, with each row's first cell, built in O(n r) without an
-        n x n mask."""
+        """The |i-j| <= r cells in row-major order, with each row's first
+        cell, built in O(n r) without an n x n mask."""
         first, width, start = self.windows()
         rows = np.repeat(np.arange(self.n), width)
         # Column = first column of the row plus the cell's offset within it.

@@ -13,10 +13,10 @@ insists they agree.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -387,57 +387,42 @@ def _modular_column(
     return nxt, moves
 
 
-# The moduli are the largest primes below 2^RESIDUE_BITS, found once per
-# process and kept, SIEVE_SPAN integers at a time: a sieve by the primes
-# below SIEVE_PRIMES_BELOW leaves about one integer in 12, and
-# Miller-Rabin to Sinclair's bases, which decide every integer below
-# 2^64, proves which of those are prime.
+# The moduli are the integers in [2^RESIDUE_BITS - S, 2^RESIDUE_BITS)
+# that no prime below S divides, largest first.  Two of them differ by
+# less than S, so a prime dividing both is below S, and the sieve removed
+# every multiple of those: they are pairwise coprime with no primality
+# test.  S starts at SIEVE_SPAN, whose window holds 6,179 moduli, and
+# grows fourfold for a bound that needs more.
 SIEVE_SPAN = 1 << 17
-SIEVE_PRIMES_BELOW = 1 << 10
-_PRIME_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
-def _is_prime(m: int) -> bool:
-    """Whether the odd m, 2^31 < m < 2^64, is prime."""
-    s = ((m - 1) & (1 - m)).bit_length() - 1  # 2^s exactly divides m - 1
-    for a in _PRIME_BASES:
-        x = pow(a, (m - 1) >> s, m)
-        if x != 1 and all(pow(x, 1 << i, m) != m - 1 for i in range(s)):
-            return False
-    return True
-
-
-def _descending_primes(below: int) -> Iterator[int]:
-    """The primes below ``below``, largest first."""
-    odd = range(3, SIEVE_PRIMES_BELOW, 2)
-    small = [2] + [p for p in odd if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
-    for top in itertools.count(below - SIEVE_SPAN, -SIEVE_SPAN):
-        keep = np.ones(SIEVE_SPAN, dtype=bool)
-        for p in small:
-            keep[-top % p :: p] = False
-        yield from filter(_is_prime, reversed((top + np.flatnonzero(keep)).tolist()))
-
-
-_PRIMES: list[int] = []
+@functools.cache
+def _coprime_window(span: int) -> list[int]:
+    """The integers in [2^RESIDUE_BITS - span, 2^RESIDUE_BITS) that no
+    prime below ``span`` divides, largest first."""
+    prime = np.ones(span, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(span) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    base = (1 << RESIDUE_BITS) - span
+    keep = np.ones(span, dtype=bool)
+    for p in np.flatnonzero(prime).tolist():
+        keep[-base % p :: p] = False
+    return (base + np.flatnonzero(keep)[::-1]).tolist()
 
 
 def _moduli(bound: int) -> list[int]:
-    """The shortest prefix of the largest primes below 2^RESIDUE_BITS,
-    which are pairwise coprime, whose product exceeds ``bound``.  The
-    primes found are kept; each call extends a copy and publishes it
-    whole, so a concurrent or interrupted call leaves only primes."""
-    global _PRIMES
-    primes, more = list(_PRIMES), None
-    product, k = 1, 0
-    while product <= bound:
-        if k == len(primes):
-            if more is None:
-                more = _descending_primes(primes[-1] if primes else 1 << RESIDUE_BITS)
-            primes.append(next(more))
-        product *= primes[k]
-        k += 1
-    _PRIMES = primes
-    return primes[:k]
+    """The shortest prefix of the smallest window's moduli whose product
+    exceeds ``bound``."""
+    span = SIEVE_SPAN
+    while True:
+        window, product = _coprime_window(span), 1
+        for k, m in enumerate(window, 1):
+            product *= m
+            if product > bound:
+                return window[:k]
+        span *= 4
 
 
 def _degree_product(spec: BallSpec) -> int:

@@ -26,48 +26,19 @@ STOCHASTIC_TOL = 1e-9
 # n <= 160 and over sampled r at n from 500 to 10^5.
 SINKHORN_MAX_ITER = 1_000
 
-# The band cells of the spec built last, as one tuple: the spec, then weak
-# references to its rows, cols, row starts and (None until a symmetry
-# check builds it) mirror index, so the builders and Sinkhorn share one
-# build per spec.  One read of the tuple never pairs a spec with another
-# spec's arrays, and the weak references leave their lifetime to the
-# matrices built on them.
-_shared_cells: tuple | None = None
+# The band cells of each spec a live matrix is built on, so the builders
+# and Sinkhorn share one layout, and its mirror index, per spec; the
+# matrices alone keep an entry alive.
+_LAYOUTS = weakref.WeakValueDictionary()
 
 
 def _band_cells(spec: BallSpec) -> Cells:
-    """``BandMatrix(spec).cells()``, read-only, and the same arrays for as
-    long as a matrix built on them is alive."""
-    global _shared_cells
-    entry = _shared_cells
-    if entry is not None and entry[0] == spec:
-        *arrays, mirror = [ref and ref() for ref in entry[1:]]
-        if all(a is not None for a in arrays):
-            cells = Cells(*arrays)
-            cells.mirror = mirror
-            return cells
-    cells = BandMatrix(spec).cells()
-    arrays = (*cells, cells.starts)
-    for a in arrays:
-        a.flags.writeable = False
-    _shared_cells = (spec, *map(weakref.ref, arrays), None)
+    """``BandMatrix(spec).cells()``, the same record for as long as a
+    matrix built on it is alive."""
+    cells = _LAYOUTS.get(spec)
+    if cells is None:
+        cells = _LAYOUTS[spec] = BandMatrix(spec).cells()
     return cells
-
-
-def _mirror(cells: Cells) -> np.ndarray:
-    """``cells.mirror``, built on first use, read-only, and shared with the
-    later ``_band_cells`` of its spec while it is alive."""
-    global _shared_cells
-    if cells.mirror is None:
-        rows, cols = cells
-        # Cell (j, i) sits at row j's first cell minus its first column, plus i.
-        start = cells.starts
-        cells.mirror = (start - cols[start])[cols]
-        cells.mirror += rows
-        cells.mirror.flags.writeable = False
-        if _shared_cells is not None and _shared_cells[1]() is rows:
-            _shared_cells = (*_shared_cells[:4], weakref.ref(cells.mirror))
-    return cells.mirror
 
 
 def _sum_deviation(cells: Cells, values: np.ndarray) -> float:
@@ -94,12 +65,12 @@ class StochasticMatrix:
     exact_numerators: np.ndarray | None = None
     exact_denominator: int | None = None
     residual: float = 0.0
-    # Zero-based (rows, cols) of ``values``; built from ``spec`` if omitted.
+    # The cells of ``values``; ``spec``'s shared layout if omitted.
     cells: Cells | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.cells is None:
-            object.__setattr__(self, "cells", BandMatrix(self.spec).cells())
+            object.__setattr__(self, "cells", _band_cells(self.spec))
 
     @property
     def n(self) -> int:
@@ -109,7 +80,7 @@ class StochasticMatrix:
     def entries(self) -> np.ndarray:
         """Dense n x n view, built on every access (export and tests)."""
         dense = np.zeros((self.n, self.n))
-        dense[self.cells] = self.values
+        dense[self.cells.rows, self.cells.cols] = self.values
         return dense
 
     @property
@@ -128,7 +99,7 @@ class StochasticMatrix:
         """Every cell equals its mirror exactly (on the numerators, when
         exact): each Q built here is symmetric in IEEE arithmetic."""
         x = self.exact_numerators if self.is_exact else self.values
-        return bool(np.array_equal(x, x[_mirror(self.cells)]))
+        return bool(np.array_equal(x, x[self.cells.mirror]))
 
     def support_equals_band(self) -> bool:
         """Every band cell is positive (the cells are the band)."""
@@ -172,7 +143,7 @@ def _finish(
 
 def _mirror_distance(cells: Cells, n: int) -> np.ndarray:
     """|i+j-n-1| per cell: how far the cell lies from the anti-diagonal."""
-    distance = cells[0] + cells[1]
+    distance = cells.rows + cells.cols
     distance += 1 - n
     return np.abs(distance, out=distance)
 
@@ -218,7 +189,7 @@ def q_second_low(spec: BallSpec) -> StochasticMatrix:
     alpha = alpha_low_root(r).value
     c = (alpha - 1.0) / (alpha + 1.0)
     cells = _band_cells(spec)
-    expo = cells[0] - cells[1]
+    expo = cells.rows - cells.cols
     np.abs(expo, out=expo)
     corner = _mirror_distance(cells, n)
     corner -= n - 2 * r - 1
@@ -245,8 +216,8 @@ def q_second_high(spec: BallSpec) -> StochasticMatrix:
     idx = np.arange(n)  # i - 1
     v = np.maximum(np.maximum((n - r - 1) - idx, idx - r), 0)
     cells = _band_cells(spec)
-    expo = v[cells[0]]
-    expo += v[cells[1]]
+    expo = v[cells.rows]
+    expo += v[cells.cols]
     return _finish(spec, cells, _geometric(c, alpha, expo, 2 * (n - r - 1)))
 
 
@@ -308,7 +279,7 @@ def sinkhorn_balance(
         sums = x * window_sums(x)
         residual = float(np.abs(sums - 1.0).max())
         if residual <= tol:
-            values = x[cells[0]] * x[cells[1]]
+            values = x[cells.rows] * x[cells.cols]
             residual = _sum_deviation(cells, values)
             if residual <= tol:
                 break

@@ -253,7 +253,7 @@ def render_matrix_dense_csv(sm: StochasticMatrix, comments: Sequence[str] = ()) 
     header = tuple(f"c{j}" for j in range(1, sm.n + 1))
     zero = "0" if sm.is_exact else format_float(0.0)
     grid = [[zero] * sm.n for _ in range(sm.n)]
-    for i, j, text in zip(*sm.cells, _cell_texts(sm)):
+    for i, j, text in zip(sm.cells.rows, sm.cells.cols, _cell_texts(sm)):
         grid[i][j] = text
     return render_csv(header, grid, comments)
 
@@ -281,7 +281,7 @@ def render_matrix_triplets_csv(
     """One (i, j, value) row per positive cell, in row-major order."""
     rows = [
         (str(i + 1), str(j + 1), text)
-        for i, j, x, text in zip(*sm.cells, sm.values, _cell_texts(sm))
+        for i, j, x, text in zip(sm.cells.rows, sm.cells.cols, sm.values, _cell_texts(sm))
         if x > 0
     ]
     return render_csv(TRIPLET_HEADER, rows, comments)

@@ -146,8 +146,8 @@ def _double_stochasticity(max_n: int) -> str | None:
             # it.  Dropping it at once let the allocator hand the heap
             # back between specs and fault it in again: 120k minor page
             # faults a call against 54k, and 1.7x the time.  It also keeps
-            # the spec's band cells and mirror index alive, so the
-            # second-class builders share them.
+            # the spec's layout alive, so the second-class builders share
+            # it and the mirror index its symmetry check built.
             first = q_first_class(spec)
             if spec.second_low_range:
                 q_second_low(spec)

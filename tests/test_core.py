@@ -71,7 +71,8 @@ def test_ball_spec_validation():
 def dense_band(band):
     """The 0/1 matrix whose ones sit on ``band.cells()``."""
     dense = np.zeros((band.n, band.n), dtype=int)
-    dense[band.cells()] = 1
+    cells = band.cells()
+    dense[cells.rows, cells.cols] = 1
     return dense
 
 
@@ -92,7 +93,7 @@ def test_band_symmetry_and_row_counts(n, r):
     mask = np.abs(idx[:, None] - idx[None, :]) <= r
     assert (dense == mask).all()
     cells = band.cells()
-    rows, cols = cells
+    rows, cols = cells.rows, cells.cols
     # The cells are the mask's nonzero cells, in the same row-major order.
     assert (rows == np.nonzero(mask)[0]).all() and (cols == np.nonzero(mask)[1]).all()
     # Each row's first cell, as a search over the sorted rows finds it.

@@ -210,3 +210,38 @@ def test_column_scatters_are_found():
         "np.add.reduceat(x, i)\n"
     )
     assert COLUMN_SCATTERS & set(dotted_names(source)) == {"np.add.at", "np.bincount"}
+
+
+def global_statements(source):
+    """The names each ``global`` statement in ``source`` rebinds."""
+    return [
+        name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    ]
+
+
+def test_only_scalar_rebinds_a_module_level_name():
+    # Module-level caches are built once and shared as they are (a
+    # ``functools.cache`` or a weak-value registry); only scalar.py's
+    # log2-factorial table is replaced by a longer one when it grows.
+    rebinding = {
+        path.name
+        for path in MODULES
+        if global_statements(path.read_text(encoding="utf-8"))
+    }
+    assert rebinding == {"scalar.py"}, rebinding
+
+
+def test_global_statements_are_found():
+    source = (
+        "_CACHE = None\n"
+        "def grow():\n"
+        "    global _CACHE\n"
+        "    def inner():\n"
+        "        global _OTHER, _THIRD\n"
+        "    _CACHE = 1\n"
+        "x = 'global _NOT_CODE'\n"
+    )
+    assert global_statements(source) == ["_CACHE", "_OTHER", "_THIRD"]

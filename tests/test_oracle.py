@@ -1,5 +1,6 @@
 """Counting backends against each other and against closed boundaries."""
 
+import functools
 import itertools
 import math
 import os
@@ -32,6 +33,20 @@ def fibonacci(k):
     for _ in range(k):
         a, b = b, a + b
     return a
+
+
+@functools.cache
+def primorial(below):
+    """The product of the primes below ``below``."""
+    sieve = bytearray([1]) * below
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(below) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, below, p)))
+    factors = [p for p in range(below) if sieve[p]]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
 
 
 class TestEnumerate:
@@ -135,25 +150,6 @@ class TestModularDP:
         assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
 
     @staticmethod
-    def is_prime(m):
-        # Miller-Rabin to the first twelve prime bases, which decide every
-        # m below 3.3e24 (Sorenson and Webster).
-        d, s = m - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            x = pow(a, d, m)
-            if x in (1, m - 1):
-                continue
-            for _ in range(s - 1):
-                x = x * x % m
-                if x == m - 1:
-                    break
-            else:
-                return False
-        return True
-
-    @staticmethod
     def greedy_moduli(bound):
         # The largest integers coprime to the ones already taken.
         moduli, product, m = [], 1, (1 << oracle.RESIDUE_BITS) - 1
@@ -164,55 +160,67 @@ class TestModularDP:
             m -= 1
         return moduli
 
-    def test_moduli_are_the_largest_primes_and_no_more_than_greedy_ones(self):
+    @staticmethod
+    def check_moduli(bound, moduli, span=oracle.SIEVE_SPAN):
+        # Within span of 2^56 and free of the primes below span, so two of
+        # them differ by less than span and share no prime: pairwise coprime.
+        top = 1 << oracle.RESIDUE_BITS
+        assert moduli == sorted(set(moduli), reverse=True)
+        assert top - span <= moduli[-1] and moduli[0] < top
+        assert math.gcd(math.prod(moduli), primorial(span)) == 1
+        assert math.prod(moduli) > bound >= math.prod(moduli[:-1])
+
+    def test_moduli_are_sieved_coprime_and_no_more_than_greedy_ones(self):
         cells = [(n, r) for n in range(1, 121) for r in range(min(n, 40))]
         cells += [(n, r) for r, n in enumerate(oracle.MODULAR_DP_MAX_N) if r >= 4]
-        longest = []
         for n, r in cells:
             bound = oracle._degree_product(BallSpec(n, r))
             moduli = oracle._moduli(bound)
-            assert math.prod(moduli) > bound >= math.prod(moduli[:-1]), (n, r)
+            self.check_moduli(bound, moduli)
             assert len(moduli) <= len(self.greedy_moduli(bound)), (n, r)
-            longest = max(longest, moduli, key=len)
-        # Every odd number from 2^56 - 1 down to the last modulus taken.
-        odd = range((1 << oracle.RESIDUE_BITS) - 1, longest[-1] - 1, -2)
-        assert [m for m in odd if self.is_prime(m)] == longest
 
     @pytest.mark.parametrize(
-        "n, r, k", [(93000, 1, 2633), (52148, 2, 2163), (100, 7, 7), (22, 13, 2)]
+        "n, r, k",
+        [
+            (93000, 1, 2633), (93050, 1, 2634), (52148, 2, 2163), (29146, 3, 1462),
+            (14363, 4, 813), (1320, 7, 92), (100, 7, 7), (22, 13, 2),
+        ],
     )
     def test_modulus_count_at_the_frontier(self, n, r, k):
-        moduli = oracle._moduli(oracle._degree_product(BallSpec(n, r)))
+        bound = oracle._degree_product(BallSpec(n, r))
+        moduli = oracle._moduli(bound)
         assert len(moduli) == k
-        assert all(map(self.is_prime, moduli))
+        self.check_moduli(bound, moduli)
 
-    def test_primes_continue_past_the_first_sieve_window(self):
-        # The first SIEVE_SPAN integers below 2^56 hold 3,384 primes.
-        top = 1 << oracle.RESIDUE_BITS
-        primes = list(itertools.islice(oracle._descending_primes(top), 3400))
-        assert primes == sorted(set(primes), reverse=True)
-        assert primes[3383] >= top - oracle.SIEVE_SPAN > primes[3384]
-        odd = range(primes[3370], primes[-1] - 1, -2)
-        assert [m for m in odd if self.is_prime(m)] == primes[3370:]
+    def test_moduli_continue_past_the_first_sieve_window(self):
+        # The first window holds 6,179 moduli; (300000, 1) needs 8,491, from
+        # the window four times as wide.
+        assert len(oracle._coprime_window(oracle.SIEVE_SPAN)) == 6179
+        bound = oracle._degree_product(BallSpec(300000, 1))
+        moduli = oracle._moduli(bound)
+        assert len(moduli) == 8491
+        self.check_moduli(bound, moduli, 4 * oracle.SIEVE_SPAN)
 
-    def test_an_interrupted_search_keeps_the_primes_it_had(self, monkeypatch):
+    def test_an_interrupted_first_call_caches_nothing(self, monkeypatch):
         bound = oracle._degree_product(BallSpec(300, 5))
         expected = oracle._moduli(bound)
-        monkeypatch.setattr(oracle, "_PRIMES", expected[:3])
-        real, calls = oracle._is_prime, []
+        sieve, calls = oracle._coprime_window.__wrapped__, []
 
-        def interrupted(m):
-            calls.append(m)
-            if len(calls) == 20:
+        def interrupted(span):
+            calls.append(span)
+            if len(calls) == 1:
                 raise KeyboardInterrupt
-            return real(m)
+            return sieve(span)
 
-        monkeypatch.setattr(oracle, "_is_prime", interrupted)
+        fresh = functools.cache(interrupted)
+        monkeypatch.setattr(oracle, "_coprime_window", fresh)
         with pytest.raises(KeyboardInterrupt):
             oracle._moduli(bound)
-        assert oracle._PRIMES == expected[:3]
+        assert fresh.cache_info().currsize == 0
         assert oracle._moduli(bound) == expected
-        assert oracle._PRIMES == expected
+        # The second call kept its window, which a third call reads.
+        assert oracle._moduli(bound) == expected
+        assert calls == [oracle.SIEVE_SPAN] * 2
 
     def test_degree_product_equals_the_row_by_row_product(self):
         for n in range(1, 121):

@@ -293,7 +293,7 @@ def test_qmatrix_round_trips_dense_and_triplets(spec):
         value = Fraction if q.is_exact else float
         if q.is_exact:
             numerators = np.zeros((spec.n, spec.n), dtype=np.int64)
-            numerators[q.cells] = q.exact_numerators
+            numerators[q.cells.rows, q.cells.cols] = q.exact_numerators
             d = q.exact_denominator
             grid = [[Fraction(int(x), d) for x in row] for row in numerators]
         else:
@@ -302,7 +302,7 @@ def test_qmatrix_round_trips_dense_and_triplets(spec):
         assert [[value(x) for x in row] for row in dense] == grid
         triplets = parse_matrix_triplets_csv(render_matrix_triplets_csv(q))
         assert [(i - 1, j - 1, value(text)) for i, j, text in triplets] == [
-            (i, j, grid[i][j]) for i, j in zip(*q.cells) if grid[i][j] > 0
+            (i, j, grid[i][j]) for i, j in zip(q.cells.rows, q.cells.cols) if grid[i][j] > 0
         ]
 
 

@@ -1,6 +1,7 @@
 """Doubly-stochastic constructions and Sinkhorn balancing."""
 
 import dataclasses
+import functools
 import gc
 import itertools
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from permball import qmat, verify
-from permball.core import BallSpec, BandMatrix
+from permball.core import BallSpec, BandMatrix, Cells
 from permball.errors import ConvergenceError, DomainError, ValidationError
 from permball.qmat import (
     q_first_class,
@@ -25,7 +26,7 @@ from permball.scalar import alpha_high_root, alpha_low_root
 def exact_entries(q):
     """q's exact entries as a dense, zero-based grid of Fractions."""
     numerators = np.zeros((q.n, q.n), dtype=np.int64)
-    numerators[q.cells] = q.exact_numerators
+    numerators[q.cells.rows, q.cells.cols] = q.exact_numerators
     return [[Fraction(int(v), q.exact_denominator) for v in row] for row in numerators]
 
 
@@ -227,7 +228,7 @@ class TestLineSums:
 
     @staticmethod
     def rows_by_searched_starts(cells, x, n):
-        return np.add.reduceat(x, np.searchsorted(cells[0], np.arange(n)))
+        return np.add.reduceat(x, np.searchsorted(cells.rows, np.arange(n)))
 
     def test_column_sums_match_add_at_bit_for_bit(self):
         # qmat sums no column: each matrix is exactly symmetric, so added
@@ -242,7 +243,7 @@ class TestLineSums:
             for n, r in BALANCE_CELLS
         )
         for q in itertools.chain(built, balanced):
-            rows, cols = q.cells
+            rows, cols = q.cells.rows, q.cells.cols
             inputs = [q.values] + ([q.exact_numerators] if q.is_exact else [])
             for x in inputs:
                 by_col = self.add_at(cols, x, q.n)
@@ -280,14 +281,14 @@ class TestSharedCells:
     def check_cells(matrices):
         for q in matrices:
             expected = BandMatrix(q.spec).cells()
-            rows, cols = expected
+            rows, cols = expected.rows, expected.cols
             # The k-th cell (i, j) in column-major order mirrors the k-th
             # cell (j, i) in row-major order.
             mirror = np.empty_like(rows)
             mirror[np.lexsort((rows, cols))] = np.arange(rows.size)
             pairs = zip(
-                (*q.cells, q.cells.starts, q.cells.mirror),
-                (*expected, expected.starts, mirror),
+                (q.cells.rows, q.cells.cols, q.cells.starts, q.cells.mirror),
+                (rows, cols, expected.starts, mirror),
             )
             for got, want in pairs:
                 assert np.array_equal(got, want), q.spec
@@ -298,48 +299,56 @@ class TestSharedCells:
         a, b = BallSpec(12, 3), BallSpec(12, 4)
         built = [q_first_class(a), q_first_class(b), q_second_low(b)]
         built += [q_first_class(a), q_second_low(a)]
+        built.append(sinkhorn_balance(BandMatrix(b), tol=1e-10)[0])
+        built.append(qmat.StochasticMatrix(a, built[0].values))
         self.check_cells(built)
-        # A builder reuses the cells and the mirror index of the spec
-        # built last while a matrix on them is alive; a spec built again
-        # gets a fresh build of both.
-        assert built[1].cells[0] is built[2].cells[0]
-        assert built[1].cells.mirror is built[2].cells.mirror
-        assert built[3].cells[1] is built[4].cells[1]
-        assert built[3].cells.starts is built[4].cells.starts
-        assert built[3].cells.mirror is built[4].cells.mirror
-        assert built[0].cells[0] is not built[3].cells[0]
-        assert built[0].cells.mirror is not built[3].cells.mirror
-        del built
+        # Every matrix on a live spec holds its one record: the builders',
+        # Sinkhorn's and one given no cells.
+        layouts = {spec: qmat._LAYOUTS[spec] for spec in (a, b)}
+        assert layouts[a] is not layouts[b]
+        assert all(q.cells is layouts[q.spec] for q in built)
+        del built, layouts
         gc.collect()
-        spec, *arrays = qmat._shared_cells
-        assert spec == a and len(arrays) == 4
-        assert all(array() is None for array in arrays)
+        assert a not in qmat._LAYOUTS and b not in qmat._LAYOUTS
+
+    def test_a_spec_built_again_reuses_its_live_record(self):
+        a, b = BallSpec(12, 3), BallSpec(12, 4)
+        older = q_first_class(a)
+        q_first_class(b)
+        again = q_second_low(a)
+        # The record, with the mirror index older's symmetry check built.
+        assert again.cells is older.cells
+        assert "mirror" in again.cells.__dict__
 
     def test_battery_builds_one_mirror_per_spec_and_sinkhorn_none(self, monkeypatch):
-        real_mirror, built = qmat._mirror, []
+        real_mirror, built = Cells.mirror.func, []
 
         def counted(cells):
-            if cells.mirror is None:
-                built.append(cells)
+            # The spec of a record: n rows, and r the largest j - i.
+            built.append((cells.starts.size, int((cells.cols - cells.rows).max())))
             return real_mirror(cells)
 
-        monkeypatch.setattr(qmat, "_mirror", counted)
+        mirror = functools.cached_property(counted)
+        mirror.__set_name__(Cells, "mirror")
+        monkeypatch.setattr(Cells, "mirror", mirror)
+        # A layout a live matrix keeps, with its mirror index, is reused.
+        layouts = qmat._LAYOUTS.items()
+        live = {spec for spec, cells in layouts if "mirror" in cells.__dict__}
         assert verify._double_stochasticity(40) is None
-        assert len(built) == len(BATTERY_SPECS_TO_40)
+        specs = [spec for spec in BATTERY_SPECS_TO_40 if spec not in live]
+        assert built == [(spec.n, spec.r) for spec in specs]
         del built[:]
         for n, r in BALANCE_CELLS:
             balanced, _ = sinkhorn_balance(BandMatrix(BallSpec(n, r)), tol=1e-10)
-            assert balanced.cells.mirror is None
-            assert qmat._shared_cells[4] is None
+            assert "mirror" not in balanced.cells.__dict__
         assert built == []
 
     def test_sinkhorn_shares_the_builders_cells(self):
         spec = BallSpec(40, 30)
         high = q_second_high(spec)
         balanced, _ = sinkhorn_balance(BandMatrix(spec), tol=1e-12)
-        assert balanced.cells[0] is high.cells[0]
-        assert balanced.cells.starts is high.cells.starts
-        assert balanced.cells.mirror is high.cells.mirror
+        assert balanced.cells is high.cells
+        assert "mirror" in balanced.cells.__dict__
 
 
 BALANCE_CELLS = [
@@ -456,7 +465,7 @@ class TestSinkhorn:
         # The residual is the row-sum deviation; no mirror index is built.
         rows = np.add.reduceat(balanced.values, balanced.cells.starts)
         assert balanced.residual == float(np.abs(rows - 1.0).max())
-        assert balanced.cells.mirror is None
+        assert "mirror" not in balanced.cells.__dict__
 
     def test_scaling_vectors_reconstruct_matrix(self):
         band = BandMatrix(BallSpec(7, 4))
@@ -487,7 +496,7 @@ class TestExactSymmetry:
             balanced, _ = sinkhorn_balance(BandMatrix(BallSpec(n, r)), tol=1e-10)
             assert balanced.is_symmetric(), (n, r)
             # One off-diagonal cell one ulp away from its mirror breaks it.
-            k = np.flatnonzero(balanced.cells[0] != balanced.cells[1])[0]
+            k = np.flatnonzero(balanced.cells.rows != balanced.cells.cols)[0]
             moved = balanced.values.copy()
             moved[k] = np.nextafter(moved[k], np.inf)
             assert not dataclasses.replace(balanced, values=moved).is_symmetric()
@@ -498,7 +507,7 @@ CONTRACT_SPECS = BATTERY_SPECS_TO_40 + [BallSpec(200, r) for r in (66, 132, 199)
 
 def cell(q, i, j):
     """Position of the zero-based cell (i, j) in q's cell list."""
-    return int(np.flatnonzero((q.cells[0] == i) & (q.cells[1] == j))[0])
+    return int(np.flatnonzero((q.cells.rows == i) & (q.cells.cols == j))[0])
 
 
 class TestSymmetryContract:
@@ -507,7 +516,7 @@ class TestSymmetryContract:
 
     @staticmethod
     def line_sums(q, x):
-        rows, cols = q.cells
+        rows, cols = q.cells.rows, q.cells.cols
         by_row, by_col = np.zeros(q.n, x.dtype), np.zeros(q.n, x.dtype)
         np.add.at(by_row, rows, x)
         np.add.at(by_col, cols, x)

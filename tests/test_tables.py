@@ -94,7 +94,7 @@ def test_matrix_dense_exact_round_trip():
     text = render_matrix_dense_csv(sm)
     assert "2/3" in text and "1/3" in text
     numerators = np.zeros((5, 5), dtype=np.int64)
-    numerators[sm.cells] = sm.exact_numerators
+    numerators[sm.cells.rows, sm.cells.cols] = sm.exact_numerators
     assert parse_matrix_dense_csv(text) == [
         [Fraction(int(v), sm.exact_denominator) for v in row] for row in numerators
     ]

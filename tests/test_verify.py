@@ -15,7 +15,7 @@ LOW, HIGH = (31, 10), (31, 20)  # both in _battery_radii(31)
 
 def cell(q, i, j):
     """Position of the zero-based cell (i, j) in q's cell list."""
-    rows, cols = q.cells
+    rows, cols = q.cells.rows, q.cells.cols
     return int(np.flatnonzero((rows == i) & (cols == j))[0])
 
 
