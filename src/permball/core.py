@@ -102,16 +102,16 @@ class BandMatrix:
         the window's width, and the index of its first cell in ``cells``."""
         idx = np.arange(self.n)
         first = np.maximum(idx - self.spec.r, 0)
-        width = np.minimum(idx + self.spec.r + 1, self.n) - first
-        return first, width, np.cumsum(width) - width
+        width = np.minimum(idx + (self.spec.r + 1), self.n) - first
+        return first, width, width.cumsum() - width
 
     def cells(self) -> Cells:
         """The |i-j| <= r cells in row-major order, with each row's first
         cell, built in O(n r) without an n x n mask."""
         first, width, start = self.windows()
-        rows = np.repeat(np.arange(self.n), width)
+        rows = np.arange(self.n).repeat(width)
         # Column = first column of the row plus the cell's offset within it.
-        cols = np.repeat(first - start, width)
+        cols = (first - start).repeat(width)
         cols += np.arange(rows.size)
         return Cells(rows, cols, start)
 

@@ -41,13 +41,14 @@ MODULAR_DP_MAX_N = (
     982_282, 93_050, 52_148, 29_146, 14_363, 6_566, 2_938, 1_320, 590, 265, 116,
     50, 24, 22, 22, 22, 22, 22, 22, 22, 22, 22,
 )
-# The other backends are admitted by n alone.  On that host Ryser takes
-# 0.9 s at n = 19 and 1.2-1.9 s at n = 20, enumeration 0.85 s at (10, 9).
+# The other backends are admitted by n alone.  There Ryser takes 0.9 s at
+# n = 19 and 1.2-1.9 s at n = 20; enumeration 0.29 s at (10, 9) and,
+# best of 3 in two phases of the host, 2.8 and 3.2 s at (11, 10).
 RYSER_MAX_N = 19
-ENUMERATE_MAX_N = 9
-# n! costs its decimal conversions, quadratic in the digits, and the CLI
-# makes two: one for the cache record and one for stdout.  A cold `exact
-# --n 65000 --r 64999` takes 2.9 s there (3.1 s at n = 66,000).
+ENUMERATE_MAX_N = 10
+# n! costs its decimal conversion, quadratic in the digits, which the CLI
+# makes once, for the cache record it then prints.  A cold `exact --n 65000
+# --r 64999` takes 1.5-1.7 s there; the cap predates that single conversion.
 FACTORIAL_MAX_N = 65_000
 
 # Residues stay below 2^56, so the at most 2r+1 of them added into one
@@ -110,34 +111,36 @@ class ExactResult:
 def ball_size_enumerate(spec: BallSpec) -> int:
     """Count permutations within distance r of the identity one by one.
 
-    A depth-first search places column i in each free row with
-    |p(i) - i| <= r, with no state beyond the rows used so far.  The last
-    two columns are counted in closed form: with F the free rows and W_i
-    column i's window, they complete |F & W_{n-2}| * |F & W_{n-1}| -
-    |F & W_{n-2} & W_{n-1}| permutations (pairs of rows, less those that
-    pick one row twice), three popcounts.
+    A depth-first search places column i in each free row of its window
+    |p(i) - i| <= r, one bit at a time (``avail & -avail``), with no state
+    beyond the rows still free.  The last three columns, with A, B and C
+    the free rows of their windows, take |A||B||C| - |A&B||C| - |A&C||B|
+    - |B&C||A| + 2|A&B&C| triples of distinct rows (one row thrice is
+    taken off three times), counted from seven popcounts.
     """
     n, r = spec.n, spec.r
-    if n == 1:
-        return 1
-    windows = [range(max(0, i - r), min(n, i + r + 1)) for i in range(n)]
-    last = sum(1 << row for row in windows[-1])
-    second = sum(1 << row for row in windows[-2])
-    both = last & second
+    if n < 3:
+        return r + 1  # the identity, and at (2, 1) the swap
+    windows = [(1 << min(n, i + r + 1)) - (1 << max(0, i - r)) for i in range(n)]
+    a, b, c = windows[-3:]
+    ab, ac, bc, abc = a & b, a & c, b & c, a & b & c
 
-    def place(i: int, used: int) -> int:
-        if i == n - 2:
-            free = ~used
-            pairs = (second & free).bit_count() * (last & free).bit_count()
-            return pairs - (both & free).bit_count()
+    def place(i: int, free: int) -> int:
+        if i == n - 3:
+            na, nb = (a & free).bit_count(), (b & free).bit_count()
+            nc = (c & free).bit_count()
+            pairs = (ab & free).bit_count() * nc + (ac & free).bit_count() * nb
+            pairs += (bc & free).bit_count() * na
+            return na * nb * nc - pairs + 2 * (abc & free).bit_count()
         count = 0
-        for row in windows[i]:
-            bit = 1 << row
-            if not used & bit:
-                count += place(i + 1, used | bit)
+        avail = windows[i] & free
+        while avail:
+            bit = avail & -avail
+            count += place(i + 1, free ^ bit)
+            avail ^= bit
         return count
 
-    return place(0, 0)
+    return place(0, (1 << n) - 1)
 
 
 def ball_size_ryser(spec: BallSpec) -> int:

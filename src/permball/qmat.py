@@ -42,10 +42,12 @@ def _band_cells(spec: BallSpec) -> Cells:
 
 
 def _sum_deviation(cells: Cells, values: np.ndarray) -> float:
-    """Max deviation of any row sum from 1, each row's cells being one run
-    from its start.  No column is summed: every matrix here is exactly
-    symmetric, so each column holds its row's values."""
-    return float(np.abs(np.add.reduceat(values, cells.starts) - 1.0).max())
+    """Max |s - 1| over the row sums s, each row one run from its start.
+    fl(s - 1) is monotone in s and fl(1 - s) is its negation, so the two
+    extreme sums give it to the bit.  No column is summed: every matrix
+    here is exactly symmetric."""
+    sums = np.add.reduceat(values, cells.starts)
+    return float(max(sums.max() - 1.0, 1.0 - sums.min()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +94,18 @@ class StochasticMatrix:
         numerators are symmetric, so every column sum equals D too."""
         if not self.is_exact:
             raise ValidationError("matrix was not built in exact mode")
+        return self._exact_rows() and self.is_symmetric()
+
+    def _exact_rows(self) -> bool:
+        """Every row's numerators sum to the denominator exactly."""
         sums = np.add.reduceat(self.exact_numerators, self.cells.starts)
-        return bool((sums == self.exact_denominator).all()) and self.is_symmetric()
+        return bool((sums == self.exact_denominator).all())
 
     def is_symmetric(self) -> bool:
         """Every cell equals its mirror exactly (on the numerators, when
         exact): each Q built here is symmetric in IEEE arithmetic."""
         x = self.exact_numerators if self.is_exact else self.values
-        return bool(np.array_equal(x, x[self.cells.mirror]))
+        return bool((x[self.cells.mirror] == x).all())
 
     def support_equals_band(self) -> bool:
         """Every band cell is positive (the cells are the band)."""
@@ -118,34 +124,24 @@ def _finish(
     STOCHASTIC_TOL, every band cell is positive, its numerator rows (the
     first class's) sum to the denominator exactly, and every cell equals
     its mirror exactly, which makes each column sum its row's."""
-    where = f"at n={spec.n}, r={spec.r}"
     residual = _sum_deviation(cells, values)
     if residual > STOCHASTIC_TOL:
         raise ConvergenceError(
-            f"constructed matrix misses double stochasticity {where}: "
-            f"residual {residual:g} > {STOCHASTIC_TOL:g}",
+            f"constructed matrix misses double stochasticity at n={spec.n}, "
+            f"r={spec.r}: residual {residual:g} > {STOCHASTIC_TOL:g}",
             residual=residual,
         )
     sm = StochasticMatrix(spec, values, numerators, denominator, residual, cells)
     if not sm.support_equals_band():
-        raise ValidationError(
-            f"constructed matrix support differs from the band {where}"
-        )
-    if sm.is_exact and (np.add.reduceat(numerators, cells.starts) != denominator).any():
-        raise ValidationError(
-            f"constructed matrix rational sums differ from 1 {where}"
-        )
-    if not sm.is_symmetric():
+        problem = "constructed matrix support differs from the band {}"
+    elif sm.is_exact and not sm._exact_rows():
+        problem = "constructed matrix rational sums differ from 1 {}"
+    elif not sm.is_symmetric():
         kind = "first-class" if sm.is_exact else "second-class"
-        raise ValidationError(f"{kind} asymmetry {where}: a cell is not its mirror")
-    return sm
-
-
-def _mirror_distance(cells: Cells, n: int) -> np.ndarray:
-    """|i+j-n-1| per cell: how far the cell lies from the anti-diagonal."""
-    distance = cells.rows + cells.cols
-    distance += 1 - n
-    return np.abs(distance, out=distance)
+        problem = kind + " asymmetry {}: a cell is not its mirror"
+    else:
+        return sm
+    raise ValidationError(problem.format(f"at n={spec.n}, r={spec.r}"))
 
 
 def q_first_class(spec: BallSpec) -> StochasticMatrix:
@@ -160,10 +156,10 @@ def q_first_class(spec: BallSpec) -> StochasticMatrix:
     n, r = spec.n, spec.r
     far, denominator = (n - r, 2 * r + 1) if spec.low_range else (r + 1, n)
     cells = _band_cells(spec)
-    num = _mirror_distance(cells, n)
-    np.greater_equal(num, far, out=num)
-    num += 1
-    values = num / float(denominator)
+    # 1 + [|i+j-n-1| >= far] by zero-based i + j, read per cell.
+    num = ((np.abs(np.arange(1 - n, n)) >= far) + 1)[cells.rows + cells.cols]
+    # Exact for the numerators 1 and 2, so each value is num / D.
+    values = num * (1.0 / denominator)
     return _finish(spec, cells, values, numerators=num, denominator=denominator)
 
 
@@ -189,11 +185,11 @@ def q_second_low(spec: BallSpec) -> StochasticMatrix:
     alpha = alpha_low_root(r).value
     c = (alpha - 1.0) / (alpha + 1.0)
     cells = _band_cells(spec)
+    # The corner term by zero-based i + j, read per cell.
+    corner = np.abs(np.arange(1 - n, n)) - (n - 2 * r - 1)
     expo = cells.rows - cells.cols
     np.abs(expo, out=expo)
-    corner = _mirror_distance(cells, n)
-    corner -= n - 2 * r - 1
-    np.maximum(expo, corner, out=expo)
+    np.maximum(expo, corner[cells.rows + cells.cols], out=expo)
     return _finish(spec, cells, _geometric(c, alpha, expo, 2 * r))
 
 

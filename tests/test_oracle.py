@@ -65,6 +65,13 @@ class TestEnumerate:
         counts = [ball_size_enumerate(BallSpec(n, r)) for r in range(n)]
         assert counts == list(itertools.accumulate(by_distance))
 
+    @pytest.mark.parametrize("n", range(9, oracle.ENUMERATE_MAX_N + 1))
+    def test_matches_the_band_dp_up_to_its_cap(self, n):
+        # Past the permutation pass, every radius the dispatcher admits it at.
+        for r in range(n):
+            spec = BallSpec(n, r)
+            assert ball_size_enumerate(spec) == ball_size_band_dp(spec), spec
+
 
 class TestRyser:
     def test_all_ones_and_identity(self):
@@ -632,7 +639,7 @@ class TestWorkBudget:
             ball_size_exact(BallSpec(cap + 1, cap))
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("name, last", [("ryser", 19), ("enumerate", 9)])
+    @pytest.mark.parametrize("name, last", [("ryser", 19), ("enumerate", 10)])
     def test_admits_the_cross_checks_up_to_their_caps(self, name, last):
         assert all(name in applicable_backends(BallSpec(last, r)) for r in range(last))
         assert not any(

@@ -150,8 +150,9 @@ LARGE_BATTERY_SPECS = [
 
 
 class TestPerCellDefinitions:
-    """Each builder's values equal its per-cell definition, evaluated here
-    on a dense one-based (i, j) grid, bit for bit, for every n <= 40 and
+    """Each builder's values, numerators and denominator equal its per-cell
+    definition, evaluated here on a dense one-based (i, j) grid, bit for
+    bit, at every (n, r) with n <= 40, the battery's specs among them, and
     the large battery specs."""
 
     SPECS = [BallSpec(n, r) for n in range(1, 41) for r in range(n)]
@@ -162,6 +163,19 @@ class TestPerCellDefinitions:
         i, j = np.indices((spec.n, spec.n)) + 1
         return i, j, np.abs(i - j) <= spec.r
 
+    @staticmethod
+    def assert_bits(q, values, numerators=None, denominator=None):
+        def same(got, want):
+            return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        assert same(q.values, values), q.spec
+        if numerators is None:
+            assert q.exact_numerators is None and q.exact_denominator is None, q.spec
+        else:
+            assert same(q.exact_numerators, numerators), q.spec
+            assert type(q.exact_denominator) is int, q.spec
+            assert q.exact_denominator == denominator, q.spec
+
     def test_first_class(self):
         for spec in self.SPECS:
             n, r = spec.n, spec.r
@@ -171,10 +185,7 @@ class TestPerCellDefinitions:
             else:
                 d, corners = n, (i + j <= n - r) | (i + j >= n + r + 2)
             num = np.where(corners, 2, 1)[band]
-            q = q_first_class(spec)
-            assert q.exact_denominator == d, spec
-            assert np.array_equal(q.exact_numerators, num), spec
-            assert np.array_equal(q.values, num / float(d)), spec
+            self.assert_bits(q_first_class(spec), num / float(d), num, d)
 
     def test_second_low(self):
         for spec in filter(lambda s: s.second_low_range, self.SPECS):
@@ -187,8 +198,7 @@ class TestPerCellDefinitions:
             expo[bottom] = ((i - (n - r)) + (j - (n - r)))[bottom]
             alpha = alpha_low_root(r).value
             c = (alpha - 1.0) / (alpha + 1.0)
-            values = (c * np.power(alpha, expo))[band]
-            assert np.array_equal(q_second_low(spec).values, values), spec
+            self.assert_bits(q_second_low(spec), (c * np.power(alpha, expo))[band])
 
     def test_second_high(self):
         for spec in filter(lambda s: s.second_high_range, self.SPECS):
@@ -203,7 +213,7 @@ class TestPerCellDefinitions:
             alpha = alpha_high_root(n, r).value
             c = (alpha - 1.0) * alpha ** (-(n - r))
             values = (c * np.power(alpha, v[i] + v[j]))[band]
-            assert np.array_equal(q_second_high(spec).values, values), spec
+            self.assert_bits(q_second_high(spec), values)
 
 
 BATTERY_SPECS_TO_40 = [
@@ -264,6 +274,22 @@ class TestLineSums:
                 rows = self.rows_by_searched_starts(q.cells, q.values, n)
                 residual = float(np.abs(rows - 1.0).max())
                 assert np.float64(q.residual).tobytes() == np.float64(residual).tobytes()
+
+    def test_residual_from_the_extreme_sums_matches_the_largest_gap(self):
+        # Row sums on both sides of 1, the larger gap above 1 in some draws
+        # and below it in others: the residual is max |s - 1| to the bit.
+        rng = np.random.default_rng(5)
+        q = q_second_low(BallSpec(40, 13))
+        sides = set()
+        for _ in range(200):
+            values = q.values * (1 + rng.uniform(-1e-10, 1e-10, q.values.size))
+            sums = np.add.reduceat(values, q.cells.starts)
+            assert sums.min() < 1 < sums.max()
+            expected = float(np.abs(sums - 1.0).max())
+            got = qmat._sum_deviation(q.cells, values)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+            sides.add(sums.max() - 1 > 1 - sums.min())
+        assert sides == {True, False}
 
     def test_exact_check_catches_one_moved_numerator(self):
         rng = np.random.default_rng(21)
