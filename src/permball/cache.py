@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator
@@ -119,7 +119,9 @@ class ResultCache:
                 f"cache record {path} holds n={key.n}, r={key.r}, "
                 f"which its file name does not"
             )
-        return record
+        # A record may pad its digits with zeros; the count never does.
+        digits = count.lstrip("0") or "0"
+        return record if digits == count else replace(record, exact_count=digits)
 
     def put(self, spec: BallSpec, count: int, backend: str) -> CacheRecord:
         from . import __version__

@@ -33,7 +33,6 @@ from .core import BallSpec, BandMatrix, parse_rho, radius_from_rho
 from .errors import (
     CapacityError,
     ConvergenceError,
-    DomainError,
     PermballError,
     ValidationError,
     VerificationError,
@@ -399,9 +398,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValidationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -491,8 +491,7 @@ def ball_size_exact_detailed(
             )
     record = cache.get(spec) if cache is not None else None
     if record is not None and not verify:
-        # A record may pad its digits with zeros; the count never does.
-        return ExactResult(record.exact_count.lstrip("0") or "0", "cache")
+        return ExactResult(record.exact_count, "cache")
     candidates = [
         b for b in applicable_backends(spec) if backends is None or b in backends
     ]

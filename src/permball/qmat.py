@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -59,20 +60,28 @@ class StochasticMatrix:
     numerators on the same cells over a common denominator, so double
     stochasticity can be asserted with equality rather than a tolerance.
     Every matrix built here is exactly symmetric, so its column sums are
-    its row sums, and ``residual`` records the max row-sum deviation.
+    its row sums.  ``cells`` is ``spec``'s shared layout, and ``residual``
+    the max row-sum deviation of ``values``, computed on first use.
     """
 
     spec: BallSpec
     values: np.ndarray
     exact_numerators: np.ndarray | None = None
     exact_denominator: int | None = None
-    residual: float = 0.0
-    # The cells of ``values``; ``spec``'s shared layout if omitted.
-    cells: Cells | None = field(default=None, repr=False)
+    cells: Cells = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.cells is None:
-            object.__setattr__(self, "cells", _band_cells(self.spec))
+        cells = _band_cells(self.spec)
+        if self.values.shape != cells.rows.shape:
+            raise ValidationError(
+                f"{self.values.size} values for {cells.rows.size} cells of {self.spec}"
+            )
+        object.__setattr__(self, "cells", cells)
+
+    @cached_property
+    def residual(self) -> float:
+        """Max |s - 1| over the row sums s of ``values``."""
+        return _sum_deviation(self.cells, self.values)
 
     @property
     def n(self) -> int:
@@ -114,7 +123,6 @@ class StochasticMatrix:
 
 def _finish(
     spec: BallSpec,
-    cells: Cells,
     values: np.ndarray,
     *,
     numerators: np.ndarray | None = None,
@@ -124,14 +132,13 @@ def _finish(
     STOCHASTIC_TOL, every band cell is positive, its numerator rows (the
     first class's) sum to the denominator exactly, and every cell equals
     its mirror exactly, which makes each column sum its row's."""
-    residual = _sum_deviation(cells, values)
-    if residual > STOCHASTIC_TOL:
+    sm = StochasticMatrix(spec, values, numerators, denominator)
+    if sm.residual > STOCHASTIC_TOL:
         raise ConvergenceError(
             f"constructed matrix misses double stochasticity at n={spec.n}, "
-            f"r={spec.r}: residual {residual:g} > {STOCHASTIC_TOL:g}",
-            residual=residual,
+            f"r={spec.r}: residual {sm.residual:g} > {STOCHASTIC_TOL:g}",
+            residual=sm.residual,
         )
-    sm = StochasticMatrix(spec, values, numerators, denominator, residual, cells)
     if not sm.support_equals_band():
         problem = "constructed matrix support differs from the band {}"
     elif sm.is_exact and not sm._exact_rows():
@@ -160,7 +167,7 @@ def q_first_class(spec: BallSpec) -> StochasticMatrix:
     num = ((np.abs(np.arange(1 - n, n)) >= far) + 1)[cells.rows + cells.cols]
     # Exact for the numerators 1 and 2, so each value is num / D.
     values = num * (1.0 / denominator)
-    return _finish(spec, cells, values, numerators=num, denominator=denominator)
+    return _finish(spec, values, numerators=num, denominator=denominator)
 
 
 def _geometric(c: float, alpha: float, expo: np.ndarray, top: int) -> np.ndarray:
@@ -190,7 +197,7 @@ def q_second_low(spec: BallSpec) -> StochasticMatrix:
     expo = cells.rows - cells.cols
     np.abs(expo, out=expo)
     np.maximum(expo, corner[cells.rows + cells.cols], out=expo)
-    return _finish(spec, cells, _geometric(c, alpha, expo, 2 * r))
+    return _finish(spec, _geometric(c, alpha, expo, 2 * r))
 
 
 def q_second_high(spec: BallSpec) -> StochasticMatrix:
@@ -214,7 +221,7 @@ def q_second_high(spec: BallSpec) -> StochasticMatrix:
     cells = _band_cells(spec)
     expo = v[cells.rows]
     expo += v[cells.cols]
-    return _finish(spec, cells, _geometric(c, alpha, expo, 2 * (n - r - 1)))
+    return _finish(spec, _geometric(c, alpha, expo, 2 * (n - r - 1)))
 
 
 @dataclass(frozen=True)
@@ -275,8 +282,8 @@ def sinkhorn_balance(
         sums = x * window_sums(x)
         residual = float(np.abs(sums - 1.0).max())
         if residual <= tol:
-            values = x[cells.rows] * x[cells.cols]
-            residual = _sum_deviation(cells, values)
+            sm = StochasticMatrix(spec, x[cells.rows] * x[cells.cols])
+            residual = sm.residual
             if residual <= tol:
                 break
         x /= np.sqrt(sums)
@@ -286,7 +293,6 @@ def sinkhorn_balance(
             f"iterations (residual {residual:g})",
             residual=residual,
         )
-    sm = StochasticMatrix(spec, values, residual=residual, cells=cells)
     if not sm.support_equals_band():
         raise ValidationError("balanced matrix support differs from the band")
     return sm, ScalingVectors(x, iterations, residual)

@@ -63,23 +63,6 @@ def lambert_w(x: float) -> float:
     )
 
 
-def lambert_w_of_log(log_x: float) -> float:
-    """Lambert W given ln(x), usable when x itself would overflow.
-
-    Solves w + ln(w) = ln(x) by Newton; agrees with lambert_w on the
-    overlap.  Only the x >= e branch is needed (log_x >= 1).
-    """
-    if log_x < 1.0:
-        return lambert_w(math.exp(log_x))
-    w = log_x - math.log(log_x) if log_x > 1.0 else 1.0
-    for _ in range(LAMBERT_MAX_STEPS):
-        f = w + math.log(w) - log_x
-        if abs(f) <= LAMBERT_TOL * max(1.0, abs(log_x)):
-            return w
-        w -= f / (1.0 + 1.0 / w)
-    raise ConvergenceError(f"lambert_w_of_log failed at log_x={log_x}")
-
-
 def binary_entropy(x: float) -> float:
     """Binary entropy h(x) in bits, with the 0*log2(0) = 0 convention."""
     if not 0.0 <= x <= 1.0:
@@ -216,19 +199,22 @@ def alpha_high_root(n: int, r: int) -> AlphaRoot:
 def t_hat(rho: float) -> float:
     """The limit constant t̂(rho) for 1/2 < rho < 1.
 
-    t̂ = log2(e) * (2(1-rho)/(2rho-1) - W((1-rho)/(2rho-1) * exp(2(1-rho)/(2rho-1)))).
-    It is the root t of 2^t + t*(2rho-1)*ln(2)/(1-rho) - 2 = 0.  The Lambert
-    argument overflows as rho -> 1/2, so it is fed to W in log form there.
+    It is the root t in (0, 1] of g(t) = 2^t + c*t - 2 with
+    c = (2rho-1)*ln(2)/(1-rho), that is
+    t̂ = log2(e) * (a - W((1-rho)/(2rho-1) * e^a)) with a = 2(1-rho)/(2rho-1).
+    Where the Lambert argument overflows (rho < 1/2 + 7.2e-4), g is solved
+    by ``_bisect_newton`` on [0, 1] instead: g(0) = -1 < 0 < c = g(1).
     """
     if not 0.5 < rho < 1.0:
         raise DomainError(f"t_hat requires 1/2 < rho < 1, got {rho}")
     a = 2.0 * (1.0 - rho) / (2.0 * rho - 1.0)
     log_arg = math.log((1.0 - rho) / (2.0 * rho - 1.0)) + a
-    if log_arg > 700.0:
-        w = lambert_w_of_log(log_arg)
-    else:
-        w = lambert_w(math.exp(log_arg))
-    return LOG2E * (a - w)
+    if log_arg <= 700.0:
+        return LOG2E * (a - lambert_w(math.exp(log_arg)))
+    c = (2.0 * rho - 1.0) * LN2 / (1.0 - rho)
+    return _bisect_newton(
+        lambda t: 2.0**t + c * t - 2.0, lambda t: LN2 * 2.0**t + c, 0.0, 1.0
+    )
 
 
 def omega_r(r: int) -> int:

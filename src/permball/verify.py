@@ -349,7 +349,7 @@ def _root_quality() -> str | None:
     drift = abs(1000 * (alpha_low_root(1000).value - 1.0) - LN2)
     if drift > 0.01:
         return f"|r*(alpha_r - 1) - ln 2| = {drift} exceeds 0.01 at r=1000"
-    for rho in (0.6, 0.75, 0.9):
+    for rho in (0.5000001, 0.5005, 0.6, 0.75, 0.9):
         t = t_hat(rho)
         residual = 2.0**t + t * (2 * rho - 1) * LN2 / (1 - rho) - 2.0
         if abs(residual) > 1e-9:

@@ -121,6 +121,13 @@ class TestGap:
                     <= gap("phi1", rho).gap_bits + 1e-12
                 )
 
+    def test_phi3_stays_under_its_plateau_just_above_half(self):
+        # For rho <= 1/2 the phi3 gap is the constant log2(4/(e log2 e)).
+        plateau = gap("phi3", 0.5).gap_bits
+        grid = [0.5 + 10.0**-k for k in range(2, 16)]
+        grid += [0.5 + k * 1e-5 for k in range(1, 1001)]
+        assert max(gap("phi3", rho).gap_bits - plateau for rho in grid) <= 1e-15
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gap("phi1_prime", 0.5)

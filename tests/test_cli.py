@@ -556,6 +556,14 @@ class TestQmatrixCommand:
         assert code == 1
         assert "is a directory" in err
 
+    def test_family_outside_its_range_exits_one(self, capsys):
+        # A DomainError from the builder, not a usage error of the parser.
+        code, out, err = run(
+            capsys, "qmatrix", "--n", "6", "--r", "3", "--family", "second-low"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: second-class low matrix requires")
+
 
 class TestVerifyCommand:
     def test_quick_passes_within_budget(self, capsys, tmp_path):

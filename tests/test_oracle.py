@@ -505,6 +505,7 @@ class TestDispatch:
         path = cache.path_for(spec)
         record = json.loads(path.read_text())
         path.write_text(json.dumps(dict(record, exact_count="0031")))
+        assert cache.get(spec).exact_count == "31"
         warm = ball_size_exact_detailed(spec, cache=cache)
         assert (warm.text, warm.value, warm.backend) == ("31", 31, "cache")
         assert warm == dataclasses.replace(cold, backend="cache")

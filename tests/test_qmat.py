@@ -291,6 +291,24 @@ class TestLineSums:
             sides.add(sums.max() - 1 > 1 - sums.min())
         assert sides == {True, False}
 
+    def test_hand_built_matrix_reports_its_own_residual(self):
+        # Rows of 2, 3 and 2 cells at 0.4 sum to 0.8, 1.2 and 0.8.
+        q = qmat.StochasticMatrix(BallSpec(3, 1), np.full(7, 0.4))
+        assert q.residual == pytest.approx(0.2, abs=1e-15)
+
+    def test_replaced_values_get_a_fresh_residual(self):
+        q = q_second_low(BallSpec(20, 6))
+        assert q.residual <= 1e-12
+        scaled = dataclasses.replace(q, values=q.values * (1 + 1e-6))
+        assert scaled.residual == pytest.approx(1e-6, rel=1e-6)
+        assert scaled.cells is q.cells
+
+    def test_values_must_cover_the_band_cells(self):
+        with pytest.raises(ValidationError, match="5 values for 7 cells"):
+            qmat.StochasticMatrix(BallSpec(3, 1), np.full(5, 0.4))
+        with pytest.raises(ValidationError, match="9 values for 7 cells"):
+            qmat.StochasticMatrix(BallSpec(3, 1), np.eye(3))
+
     def test_exact_check_catches_one_moved_numerator(self):
         rng = np.random.default_rng(21)
         for spec in BATTERY_SPECS_TO_40:
@@ -329,7 +347,7 @@ class TestSharedCells:
         built.append(qmat.StochasticMatrix(a, built[0].values))
         self.check_cells(built)
         # Every matrix on a live spec holds its one record: the builders',
-        # Sinkhorn's and one given no cells.
+        # Sinkhorn's and one built by hand.
         layouts = {spec: qmat._LAYOUTS[spec] for spec in (a, b)}
         assert layouts[a] is not layouts[b]
         assert all(q.cells is layouts[q.spec] for q in built)
@@ -587,9 +605,7 @@ class TestSymmetryContract:
                 )
                 assert not broken.exactly_doubly_stochastic(), spec
                 with pytest.raises(ValidationError, match="first-class asymmetry"):
-                    qmat._finish(
-                        spec, q.cells, num / d, numerators=num, denominator=d
-                    )
+                    qmat._finish(spec, num / d, numerators=num, denominator=d)
 
     def test_second_class_cell_one_ulp_off_its_mirror_is_refused(self):
         for spec in CONTRACT_SPECS:
@@ -598,7 +614,7 @@ class TestSymmetryContract:
                 values = q.values.copy()
                 values[k] = np.nextafter(values[k], np.inf)
                 with pytest.raises(ValidationError, match="second-class asymmetry"):
-                    qmat._finish(spec, q.cells, values)
+                    qmat._finish(spec, values)
 
 
 class TestOptimalityOrdering:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from permball.asym import step_grid
 from permball.errors import CapacityError, DomainError
 from permball.scalar import (
     LOG2E,
@@ -40,6 +41,11 @@ def bisect(f, lo, hi, steps=100):
             lo = mid
             flo = f(lo)
     return 0.5 * (lo + hi)
+
+
+def root_equation(rho, t):
+    """g(t) = 2^t + c*t - 2 with c = (2rho-1)*ln(2)/(1-rho), t_hat's equation."""
+    return 2.0**t + t * (2 * rho - 1) * math.log(2) / (1 - rho) - 2.0
 
 
 class TestLambertW:
@@ -204,15 +210,33 @@ class TestTHat:
 
     @pytest.mark.parametrize("rho", [0.51, 0.6, 0.75, 0.9, 0.99])
     def test_root_equation(self, rho):
-        t = t_hat(rho)
-        residual = 2.0**t + t * (2 * rho - 1) * math.log(2) / (1 - rho) - 2.0
-        assert abs(residual) <= 1e-9
+        assert abs(root_equation(rho, t_hat(rho))) <= 1e-9
 
     def test_vanishes_toward_one(self):
         assert 0 < t_hat(0.9999) < 2e-4
 
     def test_near_half_does_not_overflow(self):
-        assert t_hat(0.5000001) == pytest.approx(1.0, abs=1e-5)
+        # Below rho = 1/2 + 7.2e-4 the Lambert argument overflows and the
+        # root is solved directly.
+        grid = [0.5 + 10.0**-k for k in range(4, 16)]
+        for rho in grid + [math.nextafter(0.5, 1.0), 0.50071]:
+            t = t_hat(rho)
+            assert 0.0 < t <= 1.0, rho
+            assert abs(root_equation(rho, t)) <= 1e-15, rho
+
+    def test_non_increasing_across_the_overflow_threshold(self):
+        grid = [0.5 + k * 1e-5 for k in range(1, 200)]
+        values = [t_hat(rho) for rho in grid]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_lambert_form_kept_on_the_figure_grid(self):
+        # The figures' rho > 1/2 keep the Lambert form's digits exactly.
+        for rho in step_grid(0.01):
+            if rho <= 0.5:
+                continue
+            a = 2.0 * (1.0 - rho) / (2.0 * rho - 1.0)
+            log_arg = math.log((1.0 - rho) / (2.0 * rho - 1.0)) + a
+            assert t_hat(rho) == LOG2E * (a - lambert_w(math.exp(log_arg))), rho
 
     def test_domain(self):
         for rho in (0.5, 1.0, 0.2):

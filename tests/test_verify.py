@@ -29,7 +29,7 @@ def at(target, build, defect):
             return q
         values, numerators, denominator = defect(q)
         return qmat._finish(
-            spec, q.cells, values, numerators=numerators, denominator=denominator
+            spec, values, numerators=numerators, denominator=denominator
         )
 
     return fake
