@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import os
 import re
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from permball import oracle
+from permball.bounds import finite_bound
 from permball.core import BallSpec
 from permball.errors import CapacityError, ValidationError, VerificationError
 from permball.oracle import (
@@ -149,7 +151,9 @@ class TestModularDP:
 
     @pytest.mark.parametrize("spec", [BallSpec(100, 5), BallSpec(7, 6), BallSpec(1, 0)])
     def test_moduli_cover_the_degree_product(self, spec):
-        bound = oracle._degree_product(spec)
+        # Bregman's product over the row degrees d of (d!)^(1/d), rounded up
+        # to a power of two.
+        bound = oracle._bregman_bound(spec)
         moduli = oracle._moduli(bound)
         assert math.prod(moduli) > bound >= ball_size_modular_dp(spec)
         assert math.prod(moduli[:-1]) <= bound
@@ -181,7 +185,7 @@ class TestModularDP:
         cells = [(n, r) for n in range(1, 121) for r in range(min(n, 40))]
         cells += [(n, r) for r, n in enumerate(oracle.MODULAR_DP_MAX_N) if r >= 4]
         for n, r in cells:
-            bound = oracle._degree_product(BallSpec(n, r))
+            bound = oracle._bregman_bound(BallSpec(n, r))
             moduli = oracle._moduli(bound)
             self.check_moduli(bound, moduli)
             assert len(moduli) <= len(self.greedy_moduli(bound)), (n, r)
@@ -189,27 +193,27 @@ class TestModularDP:
     @pytest.mark.parametrize(
         "n, r, k",
         [
-            (93000, 1, 2633), (93050, 1, 2634), (52148, 2, 2163), (29146, 3, 1462),
-            (14363, 4, 813), (1320, 7, 92), (100, 7, 7), (22, 13, 2),
+            (93000, 1, 1431), (93050, 1, 1432), (52148, 2, 1287), (29146, 3, 915),
+            (14363, 4, 527), (1320, 7, 64), (100, 7, 5), (22, 13, 2),
         ],
     )
     def test_modulus_count_at_the_frontier(self, n, r, k):
-        bound = oracle._degree_product(BallSpec(n, r))
+        bound = oracle._bregman_bound(BallSpec(n, r))
         moduli = oracle._moduli(bound)
         assert len(moduli) == k
         self.check_moduli(bound, moduli)
 
     def test_moduli_continue_past_the_first_sieve_window(self):
-        # The first window holds 6,179 moduli; (300000, 1) needs 8,491, from
+        # The first window holds 6,179 moduli; (500000, 1) needs 7,694, from
         # the window four times as wide.
         assert len(oracle._coprime_window(oracle.SIEVE_SPAN)) == 6179
-        bound = oracle._degree_product(BallSpec(300000, 1))
+        bound = oracle._bregman_bound(BallSpec(500000, 1))
         moduli = oracle._moduli(bound)
-        assert len(moduli) == 8491
+        assert len(moduli) == 7694
         self.check_moduli(bound, moduli, 4 * oracle.SIEVE_SPAN)
 
     def test_an_interrupted_first_call_caches_nothing(self, monkeypatch):
-        bound = oracle._degree_product(BallSpec(300, 5))
+        bound = oracle._bregman_bound(BallSpec(300, 5))
         expected = oracle._moduli(bound)
         sieve, calls = oracle._coprime_window.__wrapped__, []
 
@@ -229,11 +233,29 @@ class TestModularDP:
         assert oracle._moduli(bound) == expected
         assert calls == [oracle.SIEVE_SPAN] * 2
 
-    def test_degree_product_equals_the_row_by_row_product(self):
+    def test_bregman_bound_is_one_to_two_bits_above_phi1(self):
+        # Bregman's bound on the permanent is the paper's Phi1, which
+        # finite_bound computes from its own log2-factorial table; the bound
+        # rounds it up and adds one bit.
         for n in range(1, 121):
             for r in range(min(n, 40)):
-                degrees = (min(n, i + r) - max(1, i - r) + 1 for i in range(1, n + 1))
-                assert oracle._degree_product(BallSpec(n, r)) == math.prod(degrees)
+                spec = BallSpec(n, r)
+                bits = oracle._bregman_bound(spec).bit_length() - 1
+                phi1 = finite_bound("Phi1", spec).bits
+                assert phi1 + 1 - 1e-9 <= bits <= phi1 + 2, (n, r)
+
+    def test_moduli_exceed_every_reference_count(self):
+        path = Path(__file__).parents[1] / "perfbench/references/exact_counts.json"
+        counts = {
+            BallSpec(*map(int, key.split(","))): int(count)
+            for key, count in json.loads(path.read_text())["counts"].items()
+        }
+        counts.update((BallSpec(n, n - 1), math.factorial(n)) for n in range(1, 61))
+        for spec, count in counts.items():
+            bound = oracle._bregman_bound(spec)
+            moduli = oracle._moduli(bound)
+            assert math.prod(moduli) > count, spec
+            assert math.prod(moduli[:-1]) <= bound, spec
 
     @pytest.mark.parametrize("n, r", [(60, 6), (12, 2), (9, 4), (6, 3)])
     def test_builds_the_bulk_map_once_per_call(self, monkeypatch, n, r):
