@@ -1,7 +1,8 @@
 """Exact ball sizes |B_{r,n}| by mutually checking counting backends.
 
-Five routes to the same integer: closed forms at the r = 0 and r = n-1
-boundaries, a column-sweep transfer DP over the band window in Python
+Five routes to the same integer: a closed form at r = 0 and wherever
+n <= 2r+2 (a rook-polynomial sum over the cells outside the band, n! at
+r = n-1), a column-sweep transfer DP over the band window in Python
 integers, the same DP in numpy residues modulo several coprime moduli,
 swept only to the middle column and joined with its mirror image,
 Ryser's inclusion-exclusion permanent over the band's column windows, and
@@ -31,7 +32,8 @@ from .errors import CapacityError, ValidationError, VerificationError
 # it counts within the budget (the frontiers of a time model fitted to
 # times measured on a 2-vCPU Intel Xeon host); a radius past the end of a
 # tuple is refused.  An engine change re-derives an entry by timing (n, r)
-# and (n+1, r), best of 3, on either side of the budget.
+# and (n+1, r), best of 3, on either side of the budget, in two phases at
+# least 10 minutes apart, keeping the lower.
 EXACT_MAX_SECONDS = 3.0
 BAND_DP_MAX_N = (
     15_789_473, 283_584, 99_854, 38_024, 13_858, 4_446, 1_223, 311, 85, 32, 21, 20,
@@ -46,10 +48,16 @@ MODULAR_DP_MAX_N = (
 # best of 3 in two phases of the host, 2.8 and 3.2 s at (11, 10).
 RYSER_MAX_N = 19
 ENUMERATE_MAX_N = 10
-# n! costs its decimal conversion, quadratic in the digits, which the CLI
-# makes once, for the cache record it then prints.  A cold `exact --n 65000
-# --r 64999` takes 1.5-1.7 s there; the cap predates that single conversion.
-FACTORIAL_MAX_N = 65_000
+# The closed form holds at r = 0 and wherever n <= 2r+2.  There it costs
+# a Stirling row, O(m^2) integer operations in m = n-r-1, and at large n
+# the decimal conversion of the count, quadratic in the digits, which the
+# CLI makes once, for the cache record it then prints.  It is admitted at
+# n <= FACTORIAL_MAX_N with m <= CLOSED_MAX_M, whose costliest cells are
+# two corners: a cold `exact` at (2M, M-1), M = CLOSED_MAX_M, is given a
+# third of the budget, and one at (N, N-1-M), N = FACTORIAL_MAX_N, all of
+# it.  Each cap is re-derived like a DP entry, best of 3 in two phases.
+FACTORIAL_MAX_N = 73_000
+CLOSED_MAX_M = 1_500
 
 # Residues stay below 2^56, so the at most 2r+1 of them added into one
 # count before the next reduction fit in int64 for every r <= 63; the
@@ -106,6 +114,40 @@ class ExactResult:
         if text is None:
             text = self.__dict__["_text"] = count_text(self.value)
         return text
+
+
+def ball_size_closed_form(spec: BallSpec) -> int:
+    """|B_{r,n}| in closed form at r = 0 and wherever n <= 2r+2.
+
+    Let m = n-r-1.  For i = 1..m, row i must take a column <= i+r and row
+    r+1+i one >= i+1; the n-2m rows between take any column.  At
+    n <= 2r+2 the columns 1..m lie inside every upper row's window.
+    Inclusion-exclusion over rook placements on the cells the lower rows
+    refuse, a staircase of 1, 2, ..., m cells whose k-rook numbers are
+    s_k = S(m+1, m+1-k) (Stirling numbers of the second kind), leaves each
+    upper row, in order, r+1-k columns and the other n-m-k rows the rest:
+    the count is the sum over k of (-1)^k s_k (r+1-k)^m (n-m-k)!.  It is
+    Kaplansky and Riordan's rook sum over both staircases (Duke Math. J.
+    1946) with the upper staircase's placements counted as a product.  A
+    Horner pass over k takes one factorial, (n-2m)!; at m = 0 it is n!.
+    """
+    n, r = spec.n, spec.r
+    if r == 0:
+        return 1
+    m = n - r - 1
+    if m > r + 1:
+        raise ValidationError(f"the closed form needs n <= 2r+2, got n={n}, r={r}")
+    # S(j, i) for i = 0..j, row by row up to j = m+1.
+    stirling = [1]
+    for j in range(1, m + 2):
+        stirling = [0] + [
+            i * a + b for i, a, b in zip(range(1, j + 1), stirling[1:] + [0], stirling)
+        ]
+    count = 0
+    for k in range(m + 1):
+        term = stirling[m + 1 - k] * (r + 1 - k) ** m
+        count = count * (n - m - k + 1) + (-term if k % 2 else term)
+    return count * math.factorial(n - 2 * m)
 
 
 def ball_size_enumerate(spec: BallSpec) -> int:
@@ -448,7 +490,7 @@ def _bregman_bound(spec: BallSpec) -> int:
 
 
 _BACKENDS = {
-    BACKEND_CLOSED: lambda spec: 1 if spec.r == 0 else math.factorial(spec.n),
+    BACKEND_CLOSED: ball_size_closed_form,
     BACKEND_DP: ball_size_band_dp,
     BACKEND_MODULAR: ball_size_modular_dp,
     BACKEND_RYSER: ball_size_ryser,
@@ -462,15 +504,16 @@ def applicable_backends(spec: BallSpec) -> list[str]:
     n, r = spec.n, spec.r
     # Where both are admitted, band-dp is the faster at r <= 2; at r = 3 up
     # to n = 43, at n = 45 (the half sweep's cost steps every other n) and
-    # from n = 3,512 (the residue DP's moduli grow with n); and at n <= 9
+    # from n = 9,400 (the residue DP's moduli grow with n); and at n <= 9
     # for r = 4, n <= 8 for r = 5..7.  modular-dp is the faster elsewhere.
     band_first = r < 3 or n <= 8 or (n, r) == (9, 4) or (
-        r == 3 and (n <= 43 or n == 45 or n >= 3_512)
+        r == 3 and (n <= 43 or n == 45 or n >= 9_400)
     )
     caps = {BACKEND_DP: BAND_DP_MAX_N, BACKEND_MODULAR: MODULAR_DP_MAX_N}
     dps = list(caps) if band_first else list(reversed(caps))
     admitted = {
-        BACKEND_CLOSED: r == 0 or (r == n - 1 and n <= FACTORIAL_MAX_N),
+        BACKEND_CLOSED: r == 0
+        or (n <= 2 * r + 2 and n - r - 1 <= CLOSED_MAX_M and n <= FACTORIAL_MAX_N),
         **{dp: r < len(caps[dp]) and n <= caps[dp][r] for dp in dps},
         BACKEND_RYSER: n <= RYSER_MAX_N,
         BACKEND_ENUMERATE: n <= ENUMERATE_MAX_N,

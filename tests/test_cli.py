@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from permball import oracle
 from permball.bounds import finite_bound
 from permball.cache import count_text
 from permball.cli import main
@@ -366,9 +367,10 @@ class TestSweep:
 
     def test_exit_three_when_no_row_succeeds(self, capsys, tmp_path):
         # phi3 has no branch at odd n with 2r = n-1, and no exact backend
-        # reaches n=101 at that radius.
+        # reaches that radius one row past the closed form's cap on n-r-1.
+        r = oracle.CLOSED_MAX_M + 1
         code, _, _ = run(
-            capsys, "sweep", "--n", "101", "--r", "50", "--families", "phi3",
+            capsys, "sweep", "--n", str(2 * r + 1), "--r", str(r), "--families", "phi3",
             "--out", str(tmp_path / "e.csv"), "--cache-dir", str(tmp_path / "c"),
             "--jobs", "1",
         )
@@ -590,7 +592,7 @@ class TestVerifyCommand:
         # A wrong count is served by exact and caught by the audit; a count
         # with non-ASCII digits is refused by both.
         for count, exact_code, message in (
-            ("99", 0, "disagreement at n=4, r=2: {'band-dp': 14, 'cache': 99}"),
+            ("99", 0, "disagreement at n=4, r=2: {'closed-form': 14, 'cache': 99}"),
             ("7\u00b2", 1, "non-decimal"),
         ):
             cache = tmp_path / f"cache-{exact_code}"

@@ -22,6 +22,7 @@ from permball.errors import CapacityError, ValidationError, VerificationError
 from permball.oracle import (
     applicable_backends,
     ball_size_band_dp,
+    ball_size_closed_form,
     ball_size_enumerate,
     ball_size_exact,
     ball_size_exact_detailed,
@@ -49,6 +50,88 @@ def primorial(below):
     while len(factors) > 1:
         factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
     return factors[0]
+
+
+def closed_domain(n, r):
+    """The cells the closed form counts: r = 0, or n <= 2r+2."""
+    return r == 0 or n <= 2 * r + 2
+
+
+def reference_counts():
+    path = Path(__file__).parents[1] / "perfbench/references/exact_counts.json"
+    return {
+        BallSpec(*map(int, key.split(","))): int(count)
+        for key, count in json.loads(path.read_text())["counts"].items()
+    }
+
+
+class TestClosedForm:
+    def test_examples(self):
+        assert ball_size_closed_form(BallSpec(1, 0)) == 1
+        assert ball_size_closed_form(BallSpec(400, 0)) == 1
+        assert ball_size_closed_form(BallSpec(4, 1)) == 5
+        assert ball_size_closed_form(BallSpec(4, 2)) == 14
+        assert ball_size_closed_form(BallSpec(9, 8)) == math.factorial(9)
+
+    def test_equals_ryser_and_the_band_dp_up_to_n14(self):
+        for n in range(1, 15):
+            for r in range(n):
+                if closed_domain(n, r):
+                    spec = BallSpec(n, r)
+                    count = ball_size_closed_form(spec)
+                    assert count == ball_size_band_dp(spec), spec
+                    assert count == ball_size_ryser(spec), spec
+
+    def test_equals_the_rook_sum_over_both_staircases(self):
+        # Kaplansky and Riordan's form: sum_k (-1)^k h_k (n-k)!, h the
+        # convolution of s_k = S(m+1, m+1-k) with itself, the Stirling
+        # numbers here from their explicit sum.
+        def stirling(j, i):
+            total = sum((-1) ** (i - t) * math.comb(i, t) * t**j for t in range(i + 1))
+            return total // math.factorial(i)
+
+        for n in range(2, 61):
+            for r in range(1, n):
+                if not closed_domain(n, r):
+                    continue
+                m = n - r - 1
+                s = [stirling(m + 1, m + 1 - k) for k in range(m + 1)]
+                h = [
+                    sum(s[i] * s[k - i] for i in range(max(0, k - m), min(k, m) + 1))
+                    for k in range(2 * m + 1)
+                ]
+                expected = sum(
+                    (-1) ** k * h[k] * math.factorial(n - k) for k in range(2 * m + 1)
+                )
+                assert ball_size_closed_form(BallSpec(n, r)) == expected, (n, r)
+
+    def test_equals_every_reference_count_in_its_domain(self):
+        counts = {
+            spec: count
+            for spec, count in reference_counts().items()
+            if closed_domain(spec.n, spec.r)
+        }
+        assert len(counts) > 400
+        for spec, count in counts.items():
+            assert ball_size_closed_form(spec) == count, spec
+
+    def test_refuses_cells_outside_its_domain(self):
+        with pytest.raises(ValidationError, match=r"n <= 2r\+2"):
+            ball_size_closed_form(BallSpec(7, 2))
+
+    def test_admits_the_corners_of_its_caps(self):
+        m, last = oracle.CLOSED_MAX_M, oracle.FACTORIAL_MAX_N
+        for n, r in ((2 * m, m - 1), (last, last - 1 - m), (last, last - 1)):
+            assert applicable_backends(BallSpec(n, r))[0] == "closed-form", (n, r)
+        for n, r in ((2 * m + 2, m), (last, last - 2 - m), (last + 1, last)):
+            assert "closed-form" not in applicable_backends(BallSpec(n, r)), (n, r)
+
+    def test_refuses_one_row_past_its_m_cap_at_once(self):
+        n = oracle.FACTORIAL_MAX_N
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="work budget"):
+            ball_size_exact(BallSpec(n, n - 2 - oracle.CLOSED_MAX_M))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEnumerate:
@@ -245,11 +328,7 @@ class TestModularDP:
                 assert phi1 + 1 - 1e-9 <= bits <= phi1 + 2, (n, r)
 
     def test_moduli_exceed_every_reference_count(self):
-        path = Path(__file__).parents[1] / "perfbench/references/exact_counts.json"
-        counts = {
-            BallSpec(*map(int, key.split(","))): int(count)
-            for key, count in json.loads(path.read_text())["counts"].items()
-        }
+        counts = reference_counts()
         counts.update((BallSpec(n, n - 1), math.factorial(n)) for n in range(1, 61))
         for spec, count in counts.items():
             bound = oracle._bregman_bound(spec)
@@ -378,7 +457,7 @@ class TestFrontierTables:
             "modular-dp": oracle.MODULAR_DP_MAX_N,
         }
         caps = {
-            name: re.findall(r"n <= ([\d,]+)", rows[name])
+            name: re.findall(r"n <= ([\d,]+)\b", rows[name])
             for name in ("closed-form", "ryser", "enumerate")
         }
         assert caps == {
@@ -386,6 +465,8 @@ class TestFrontierTables:
             "ryser": [f"{oracle.RYSER_MAX_N:,}"],
             "enumerate": [f"{oracle.ENUMERATE_MAX_N:,}"],
         }
+        m_cap = re.findall(r"n-r-1 <= ([\d,]+)", rows["closed-form"])
+        assert m_cap == [f"{oracle.CLOSED_MAX_M:,}"]
 
     def test_readme_states_the_admission_frontier(self):
         # The README's modular-dp row states where it is admitted: "every r
@@ -428,13 +509,13 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_backends_all_radii(self, n):
         # Every backend in the dispatcher's table, inside the work budget
-        # or not; the closed form only where it holds, at r = 0 and n-1.
+        # or not; the closed form only where it holds, at r = 0 and n <= 2r+2.
         ran = set()
         for r in range(n):
             spec = BallSpec(n, r)
             expected = ball_size_enumerate(spec)
             for name, count in oracle._BACKENDS.items():
-                if name != oracle.BACKEND_CLOSED or r in (0, n - 1):
+                if name != oracle.BACKEND_CLOSED or closed_domain(n, r):
                     assert count(spec) == expected, (name, spec)
                     ran.add(name)
         assert ran == set(oracle._BACKENDS)
@@ -484,20 +565,25 @@ class TestDispatch:
         assert ball_size_exact_detailed(BallSpec(8, 7)).backend == "closed-form"
         assert ball_size_exact_detailed(BallSpec(8, 7)).value == 40320
         assert ball_size_exact_detailed(BallSpec(50, 3)).backend == "modular-dp"
-        assert ball_size_exact_detailed(BallSpec(15, 13)).backend == "modular-dp"
+        assert ball_size_exact_detailed(BallSpec(25, 11)).backend == "modular-dp"
+        assert ball_size_exact_detailed(BallSpec(15, 13)).backend == "closed-form"
 
     def test_verification_mode_runs_everything(self):
+        result = ball_size_exact_detailed(BallSpec(5, 1), verify=True)
+        assert result.value == 8
+        assert result.backend == "band-dp+enumerate+modular-dp+ryser"
         result = ball_size_exact_detailed(BallSpec(3, 1), verify=True)
         assert result.value == 3
-        assert result.backend == "band-dp+enumerate+modular-dp+ryser"
+        assert result.backend == "band-dp+closed-form+enumerate+modular-dp+ryser"
         result = ball_size_exact_detailed(BallSpec(6, 5), verify=True)
         assert result.value == 720
         assert result.backend == "band-dp+closed-form+enumerate+modular-dp+ryser"
 
     def test_verification_at_n17_r13_runs_both_sweeps(self):
-        # The halved residue sweep against the dict DP's full one, and Ryser.
+        # The halved residue sweep against the dict DP's full one, Ryser and
+        # the closed form.
         result = ball_size_exact_detailed(BallSpec(17, 13), verify=True)
-        assert result.backend == "band-dp+modular-dp+ryser"
+        assert result.backend == "band-dp+closed-form+modular-dp+ryser"
 
     def test_backend_restriction(self, tmp_path):
         from permball.cache import ResultCache
@@ -581,10 +667,11 @@ class TestDispatch:
 
 
 def expected_first_backend(spec):
-    """The fastest backend on the benchmark cells: the closed forms at the
-    boundaries, the dict DP up to r = 2 and at r = 3 to n = 45, and the
-    residue DP for wider windows, n = 15..17 with r >= 13 included."""
-    if spec.r in (0, spec.n - 1):
+    """The fastest backend on the benchmark cells: the closed form at r = 0
+    and wherever n <= 2r+2 (n = 15..17 with r >= 13 and r = n-1), the dict
+    DP up to r = 2 and at r = 3 to n = 45, and the residue DP for wider
+    windows."""
+    if closed_domain(spec.n, spec.r):
         return "closed-form"
     if spec.r == 3:
         # The half sweep's cost steps every other n, so the two DPs
@@ -605,7 +692,7 @@ def benchmark_exact_cells():
 
 class TestWorkBudget:
     @pytest.mark.parametrize(
-        "n, r", [(100, 11), (30, 12), (23, 13), (40, 33), (300000, 299999), (500, 16)]
+        "n, r", [(100, 11), (30, 12), (27, 12), (50, 22), (300000, 299999), (500, 16)]
     )
     def test_refuses_cells_over_budget_at_once(self, n, r):
         start = time.perf_counter()
@@ -643,8 +730,8 @@ class TestWorkBudget:
 
     def test_narrow_bands_go_to_the_residue_dp_with_the_same_count(self):
         # Where 2r+1 nears n the columns hold fewer than C(2r, r) states.
-        spec = BallSpec(16, 12)
-        assert applicable_backends(spec) == ["modular-dp", "band-dp", "ryser"]
+        spec = BallSpec(21, 9)
+        assert applicable_backends(spec) == ["modular-dp", "band-dp"]
         assert ball_size_exact(spec) == ball_size_band_dp(spec)
 
     def test_refuses_the_factorial_of_300000_at_once(self):
@@ -669,14 +756,22 @@ class TestWorkBudget:
             name in applicable_backends(BallSpec(last + 1, r)) for r in range(last + 1)
         )
 
+    def test_r3_goes_to_the_dict_dp_from_the_crossover(self):
+        # Past n = 45 the residue DP leads at r = 3 until its moduli, which
+        # grow with n, make it the slower (timed: equal near n = 9,000-10,000).
+        assert applicable_backends(BallSpec(9399, 3)) == ["modular-dp", "band-dp"]
+        assert applicable_backends(BallSpec(9400, 3)) == ["band-dp", "modular-dp"]
+
     def test_runs_the_closed_form_or_a_band_dp_first(self):
-        # Ryser and enumeration only cross-check.  Every cell up to n = 22
-        # is admitted; at n = 23 no backend counts r = 13..21 in the budget.
+        # Ryser and enumeration only cross-check.  Every cell up to n = 26
+        # is admitted; at n = 27 and 28 no backend counts r = 12 in the
+        # budget (the closed form holds from n <= 2r+2, the residue DP's
+        # r = 12 entry ends at n = 24).
         first = {"closed-form", "band-dp", "modular-dp"}
-        for n in range(1, 24):
+        for n in range(1, 29):
             for r in range(n):
                 backends = applicable_backends(BallSpec(n, r))
-                assert backends or (n == 23 and 13 <= r <= 21), (n, r)
+                assert backends or (n in (27, 28) and r == 12), (n, r)
                 assert not backends or backends[0] in first, (n, r, backends)
 
     @pytest.mark.parametrize("n", [60, 2000])

@@ -39,6 +39,8 @@ from permball.errors import DomainError, ValidationError
 from permball.oracle import (
     applicable_backends,
     ball_size_band_dp,
+    ball_size_closed_form,
+    ball_size_enumerate,
     ball_size_exact,
     ball_size_exact_detailed,
     ball_size_modular_dp,
@@ -209,6 +211,21 @@ def test_every_applicable_backend_gives_the_same_count(spec):
     result = ball_size_exact_detailed(spec, verify=True)
     assert result.backend.split("+") == sorted(applicable_backends(spec))
     assert 1 <= result.value <= math.factorial(spec.n)
+
+
+@st.composite
+def closed_specs(draw, max_n):
+    """Cells with n <= 2r+2, where the closed form's rook sum holds."""
+    n = draw(st.integers(1, max_n))
+    return BallSpec(n, draw(st.integers((n - 1) // 2, n - 1)))
+
+
+# Up to the enumeration's own cap: it walks every permutation of the ball,
+# 12! of them at (12, 11).
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(closed_specs(max_n=10))
+def test_closed_form_equals_the_enumeration(spec):
+    assert ball_size_closed_form(spec) == ball_size_enumerate(spec)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=30)
