@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .bounds import finite_bound
 from .cache import ResultCache, count_text, parse_count
 from .core import BallSpec
 from .errors import CapacityError, ValidationError, VerificationError
@@ -71,49 +72,35 @@ BACKEND_RYSER = "ryser"
 BACKEND_ENUMERATE = "enumerate"
 
 
-class _Count:
-    """``ExactResult.value``: set from the int or from its decimal text,
-    read as the int, which the text is parsed into on the first read."""
-
-    def __get__(self, result, owner=None) -> int:
-        if result is None:
-            raise AttributeError("value")  # a required field: no default
-        count = result.__dict__["_count"]
-        if isinstance(count, str):
-            count = result.__dict__["_count"] = parse_count(count)
-        return count
-
-    def __set__(self, result, count: int | str) -> None:
-        result.__dict__["_count"] = count
-        result.__dict__["_text"] = count if isinstance(count, str) else None
-
-
 @dataclass(frozen=True)
 class ExactResult:
     """An exact count and the backend that produced it.
 
-    ``value`` takes the count as an int or as a cache record's decimal
-    text, and ``digits`` is the text of an int the caller has just written
-    to the cache.  Each form is converted to the other only when read
-    (``value`` and ``text``), so a warm ``exact`` prints the cached digits
-    and never parses them: both conversions are quadratic in the digits.
+    The count comes as an int (``count``), as a cache record's decimal
+    text (``digits``) or as both.  Each form is converted to the other
+    only when read (``value`` and ``text``), so a warm ``exact`` prints
+    the cached digits and never parses them: both conversions are
+    quadratic in the digits.
     """
 
-    value: int = _Count()
     backend: str
-    digits: InitVar[str | None] = None
+    count: int | None = None
+    digits: str | None = None
 
-    def __post_init__(self, digits: str | None) -> None:
-        if digits is not None:
-            self.__dict__["_text"] = digits
+    @functools.cached_property
+    def value(self) -> int:
+        """The count."""
+        return parse_count(self.digits) if self.count is None else self.count
 
-    @property
+    @functools.cached_property
     def text(self) -> str:
         """The count in decimal."""
-        text = self.__dict__["_text"]
-        if text is None:
-            text = self.__dict__["_text"] = count_text(self.value)
-        return text
+        return count_text(self.count) if self.digits is None else self.digits
+
+
+def _closed_form_holds(spec: BallSpec) -> bool:
+    """Whether the closed form counts the spec: r = 0 or n <= 2r+2."""
+    return spec.r == 0 or spec.n <= 2 * spec.r + 2
 
 
 def ball_size_closed_form(spec: BallSpec) -> int:
@@ -132,11 +119,13 @@ def ball_size_closed_form(spec: BallSpec) -> int:
     Horner pass over k takes one factorial, (n-2m)!; at m = 0 it is n!.
     """
     n, r = spec.n, spec.r
+    if not _closed_form_holds(spec):
+        raise ValidationError(
+            f"the closed form needs r = 0 or n <= 2r+2, got n={n}, r={r}"
+        )
     if r == 0:
         return 1
     m = n - r - 1
-    if m > r + 1:
-        raise ValidationError(f"the closed form needs n <= 2r+2, got n={n}, r={r}")
     # S(j, i) for i = 0..j, row by row up to j = m+1.
     stirling = [1]
     for j in range(1, m + 2):
@@ -270,8 +259,8 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
     whose residue products ``_residue_dot`` sums in 28-bit limbs.
     The Chinese remainder theorem rebuilds the integer from its residues.
     The k moduli multiply past a power of two above Bregman's bound on
-    the permanent (``_bregman_bound``), so the rebuilt integer is the
-    exact count.
+    the permanent, the paper's Phi1 (``_moduli_bound``), so the rebuilt
+    integer is the exact count.
     """
     n, r = spec.n, spec.r
     if 2 * r + 1 > 64:
@@ -279,7 +268,7 @@ def ball_size_modular_dp(spec: BallSpec) -> int:
             f"modular band DP at r={r} needs {2 * r + 1}-bit state masks; "
             "its uint64 masks hold 64 bits (r <= 31)"
         )
-    moduli = _moduli(_bregman_bound(spec))
+    moduli = _moduli(_moduli_bound(spec))
     divisors = np.array(moduli, dtype=np.int64)
     mask_type = np.uint32 if 2 * r + 1 <= 32 else np.uint64
     states = np.array([(1 << r) - 1], dtype=mask_type)
@@ -471,22 +460,12 @@ def _moduli(bound: int) -> list[int]:
         span *= 4
 
 
-def _bregman_bound(spec: BallSpec) -> int:
-    """A power of two above Bregman's bound on the permanent, the product
-    of (d!)^(1/d) over the row degrees d, which is the paper's Phi1: the
-    band of m = min(n, 2r+1) rows, times (2r+1)!^(1/(2r+1)) for each of
-    the n-m rows a longer band adds to its bulk."""
-    n, r = spec.n, spec.r
-    m = min(n, 2 * r + 1)
-    degrees = (min(m, i + r) - max(1, i - r) + 1 for i in range(1, m + 1))
-    bits = sum(math.log2(math.factorial(d)) / d for d in degrees)
-    bits += (n - m) * math.log2(math.factorial(2 * r + 1)) / (2 * r + 1)
-    # The float terms are positive and each rounds by at most 3 * 2^-53,
-    # relative, so bits is within (m + 4) * 2^-53 of the exact sum,
-    # relative: under 1e-6 bits for n <= 10^7 at the residue DP's r <= 31
-    # (6e-9 measured at (10^7, 31)).  The added bit keeps the power above
-    # Bregman's bound, so above the permanent.
-    return 1 << math.ceil(bits) + 1
+def _moduli_bound(spec: BallSpec) -> int:
+    """A power of two above the permanent: Bregman's bound, which is the
+    paper's Phi1, rounded up to a whole bit plus one bit.  Phi1's float
+    sum is within 1e-6 bits of the exact one for n <= 10^7 at the residue
+    DP's r <= 31, so the added bit keeps the power above Bregman's bound."""
+    return 1 << math.ceil(finite_bound("Phi1", spec).bits) + 1
 
 
 _BACKENDS = {
@@ -502,18 +481,16 @@ def applicable_backends(spec: BallSpec) -> list[str]:
     """The admitted backends in the dispatcher's order: the closed form,
     the faster band DP first, Ryser and enumeration."""
     n, r = spec.n, spec.r
-    # Where both are admitted, band-dp is the faster at r <= 2; at r = 3 up
-    # to n = 43, at n = 45 (the half sweep's cost steps every other n) and
-    # from n = 9,400 (the residue DP's moduli grow with n); and at n <= 9
-    # for r = 4, n <= 8 for r = 5..7.  modular-dp is the faster elsewhere.
-    band_first = r < 3 or n <= 8 or (n, r) == (9, 4) or (
-        r == 3 and (n <= 43 or n == 45 or n >= 9_400)
-    )
+    # Where both are admitted and the closed form is not, band-dp is the
+    # faster at r <= 2 and at r = 3 up to n = 43, at n = 45 (the half
+    # sweep's cost steps every other n) and from n = 9,400 (the residue
+    # DP's moduli grow with n).  modular-dp is the faster elsewhere.
+    band_first = r < 3 or (r == 3 and (n <= 43 or n == 45 or n >= 9_400))
     caps = {BACKEND_DP: BAND_DP_MAX_N, BACKEND_MODULAR: MODULAR_DP_MAX_N}
     dps = list(caps) if band_first else list(reversed(caps))
     admitted = {
-        BACKEND_CLOSED: r == 0
-        or (n <= 2 * r + 2 and n - r - 1 <= CLOSED_MAX_M and n <= FACTORIAL_MAX_N),
+        BACKEND_CLOSED: _closed_form_holds(spec)
+        and (r == 0 or (n - r - 1 <= CLOSED_MAX_M and n <= FACTORIAL_MAX_N)),
         **{dp: r < len(caps[dp]) and n <= caps[dp][r] for dp in dps},
         BACKEND_RYSER: n <= RYSER_MAX_N,
         BACKEND_ENUMERATE: n <= ENUMERATE_MAX_N,
@@ -543,7 +520,7 @@ def ball_size_exact_detailed(
             )
     record = cache.get(spec) if cache is not None else None
     if record is not None and not verify:
-        return ExactResult(record.exact_count, "cache")
+        return ExactResult("cache", digits=record.exact_count)
     candidates = [
         b for b in applicable_backends(spec) if backends is None or b in backends
     ]
@@ -566,7 +543,7 @@ def ball_size_exact_detailed(
     digits = None
     if cache is not None and record is None:
         digits = cache.put(spec, value, candidates[0]).exact_count
-    return ExactResult(value, "+".join(sorted(results)), digits)
+    return ExactResult("+".join(sorted(results)), value, digits)
 
 
 def ball_size_exact(

@@ -172,35 +172,34 @@ def _balanced_deviation(spec: BallSpec, build: Callable) -> float:
     return float(np.abs(balanced.values - build(spec).values).max())
 
 
-def _sinkhorn_high() -> str | None:
-    for n, r in SINKHORN_HIGH_SPECS:
-        deviation = _balanced_deviation(BallSpec(n, r), q_second_high)
+def _sinkhorn_fixed_points(specs, build: Callable, note: str = "") -> str | None:
+    """The first of ``specs`` whose balanced band deviates from ``build``
+    by more than 1e-6, followed by ``note``; None if none does."""
+    for n, r in specs:
+        deviation = _balanced_deviation(BallSpec(n, r), build)
         if deviation > 1e-6:
-            return f"balanced matrix deviates {deviation:g} at n={n}, r={r}"
+            return f"balanced matrix deviates {deviation:g} at n={n}, r={r}{note}"
     return None
 
 
-def _sinkhorn_low_boundary() -> str | None:
-    worst = None
-    for n, r in SINKHORN_LOW_BOUNDARY_SPECS:
-        deviation = _balanced_deviation(BallSpec(n, r), q_second_low)
-        if deviation > 1e-6:
-            worst = (
-                f"balanced matrix deviates {deviation:g} from the low-range "
-                f"construction at n={n}, r={r}; the actual fixed point is the "
-                f"V-shaped geometric matrix with ratio root of a^(r+1) = 2, "
-                f"which has strictly larger entropy"
-            )
-    return worst
-
-
 def check_sinkhorn_fixed_points_high() -> CheckResult:
-    return _run("sinkhorn fixed points (high range)", _sinkhorn_high)
+    return _run(
+        "sinkhorn fixed points (high range)",
+        lambda: _sinkhorn_fixed_points(SINKHORN_HIGH_SPECS, q_second_high),
+    )
 
 
 def check_sinkhorn_fixed_points_low_boundary() -> CheckResult:
+    note = (
+        " from the low-range construction; the actual fixed point is the "
+        "V-shaped geometric matrix with ratio root of a^(r+1) = 2, which has "
+        "strictly larger entropy"
+    )
     return _run(
-        "sinkhorn fixed points (even-n low boundary)", _sinkhorn_low_boundary
+        "sinkhorn fixed points (even-n low boundary)",
+        lambda: _sinkhorn_fixed_points(
+            SINKHORN_LOW_BOUNDARY_SPECS, q_second_low, note
+        ),
     )
 
 

@@ -236,7 +236,7 @@ class TestModularDP:
     def test_moduli_cover_the_degree_product(self, spec):
         # Bregman's product over the row degrees d of (d!)^(1/d), rounded up
         # to a power of two.
-        bound = oracle._bregman_bound(spec)
+        bound = oracle._moduli_bound(spec)
         moduli = oracle._moduli(bound)
         assert math.prod(moduli) > bound >= ball_size_modular_dp(spec)
         assert math.prod(moduli[:-1]) <= bound
@@ -268,7 +268,7 @@ class TestModularDP:
         cells = [(n, r) for n in range(1, 121) for r in range(min(n, 40))]
         cells += [(n, r) for r, n in enumerate(oracle.MODULAR_DP_MAX_N) if r >= 4]
         for n, r in cells:
-            bound = oracle._bregman_bound(BallSpec(n, r))
+            bound = oracle._moduli_bound(BallSpec(n, r))
             moduli = oracle._moduli(bound)
             self.check_moduli(bound, moduli)
             assert len(moduli) <= len(self.greedy_moduli(bound)), (n, r)
@@ -281,7 +281,7 @@ class TestModularDP:
         ],
     )
     def test_modulus_count_at_the_frontier(self, n, r, k):
-        bound = oracle._bregman_bound(BallSpec(n, r))
+        bound = oracle._moduli_bound(BallSpec(n, r))
         moduli = oracle._moduli(bound)
         assert len(moduli) == k
         self.check_moduli(bound, moduli)
@@ -290,13 +290,13 @@ class TestModularDP:
         # The first window holds 6,179 moduli; (500000, 1) needs 7,694, from
         # the window four times as wide.
         assert len(oracle._coprime_window(oracle.SIEVE_SPAN)) == 6179
-        bound = oracle._bregman_bound(BallSpec(500000, 1))
+        bound = oracle._moduli_bound(BallSpec(500000, 1))
         moduli = oracle._moduli(bound)
         assert len(moduli) == 7694
         self.check_moduli(bound, moduli, 4 * oracle.SIEVE_SPAN)
 
     def test_an_interrupted_first_call_caches_nothing(self, monkeypatch):
-        bound = oracle._bregman_bound(BallSpec(300, 5))
+        bound = oracle._moduli_bound(BallSpec(300, 5))
         expected = oracle._moduli(bound)
         sieve, calls = oracle._coprime_window.__wrapped__, []
 
@@ -316,22 +316,23 @@ class TestModularDP:
         assert oracle._moduli(bound) == expected
         assert calls == [oracle.SIEVE_SPAN] * 2
 
-    def test_bregman_bound_is_one_to_two_bits_above_phi1(self):
-        # Bregman's bound on the permanent is the paper's Phi1, which
-        # finite_bound computes from its own log2-factorial table; the bound
-        # rounds it up and adds one bit.
+    def test_moduli_multiply_past_phi1_plus_one_bit(self):
+        # Bregman's bound on the permanent is the paper's Phi1; the moduli
+        # multiply past it with a bit to spare, and without their last one
+        # stay within the power of two the bound rounds it up to.
         for n in range(1, 121):
-            for r in range(min(n, 40)):
+            for r in range(min(n, 32)):
                 spec = BallSpec(n, r)
-                bits = oracle._bregman_bound(spec).bit_length() - 1
                 phi1 = finite_bound("Phi1", spec).bits
-                assert phi1 + 1 - 1e-9 <= bits <= phi1 + 2, (n, r)
+                moduli = oracle._moduli(oracle._moduli_bound(spec))
+                assert math.log2(math.prod(moduli)) > phi1 + 1, (n, r)
+                assert math.prod(moduli[:-1]) <= 1 << math.ceil(phi1) + 1, (n, r)
 
     def test_moduli_exceed_every_reference_count(self):
         counts = reference_counts()
         counts.update((BallSpec(n, n - 1), math.factorial(n)) for n in range(1, 61))
         for spec, count in counts.items():
-            bound = oracle._bregman_bound(spec)
+            bound = oracle._moduli_bound(spec)
             moduli = oracle._moduli(bound)
             assert math.prod(moduli) > count, spec
             assert math.prod(moduli[:-1]) <= bound, spec
@@ -616,9 +617,9 @@ class TestDispatch:
         assert cache.get(spec).exact_count == "31"
         warm = ball_size_exact_detailed(spec, cache=cache)
         assert (warm.text, warm.value, warm.backend) == ("31", 31, "cache")
-        assert warm == dataclasses.replace(cold, backend="cache")
-        # A replaced count carries no stale text.
-        moved = dataclasses.replace(warm, value=32)
+        assert (warm.value, warm.text) == (cold.value, cold.text)
+        # Replaced digits carry no stale count.
+        moved = dataclasses.replace(warm, digits="32")
         assert (moved.value, moved.text) == (32, "32")
 
     def test_no_backend(self):
@@ -763,16 +764,21 @@ class TestWorkBudget:
         assert applicable_backends(BallSpec(9400, 3)) == ["band-dp", "modular-dp"]
 
     def test_runs_the_closed_form_or_a_band_dp_first(self):
-        # Ryser and enumeration only cross-check.  Every cell up to n = 26
-        # is admitted; at n = 27 and 28 no backend counts r = 12 in the
-        # budget (the closed form holds from n <= 2r+2, the residue DP's
-        # r = 12 entry ends at n = 24).
-        first = {"closed-form", "band-dp", "modular-dp"}
-        for n in range(1, 29):
+        # Ryser and enumeration only cross-check, and the closed form runs
+        # first wherever it is admitted, so the DP ranking decides only
+        # outside its domain.  Every cell up to n = 26 is admitted; at
+        # n = 27 and 28 no backend counts r = 12 in the budget (the closed
+        # form holds from n <= 2r+2, the residue DP's r = 12 entry ends at
+        # n = 24).
+        dps = {"band-dp", "modular-dp"}
+        for n in range(1, 401):
             for r in range(n):
                 backends = applicable_backends(BallSpec(n, r))
-                assert backends or (n in (27, 28) and r == 12), (n, r)
-                assert not backends or backends[0] in first, (n, r, backends)
+                assert backends or n > 28 or (n in (27, 28) and r == 12), (n, r)
+                if "closed-form" in backends:
+                    assert backends[0] == "closed-form", (n, r, backends)
+                else:
+                    assert not backends or backends[0] in dps, (n, r, backends)
 
     @pytest.mark.parametrize("n", [60, 2000])
     def test_counts_the_factorial_of_small_n(self, n):
