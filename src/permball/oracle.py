@@ -72,7 +72,7 @@ BACKEND_RYSER = "ryser"
 BACKEND_ENUMERATE = "enumerate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExactResult:
     """An exact count and the backend that produced it.
 
@@ -80,12 +80,29 @@ class ExactResult:
     text (``digits``) or as both.  Each form is converted to the other
     only when read (``value`` and ``text``), so a warm ``exact`` prints
     the cached digits and never parses them: both conversions are
-    quadratic in the digits.
+    quadratic in the digits.  A new count needs new digits: the keyword
+    ``value`` sets the count and drops the digits, so
+    ``dataclasses.replace(result, value=v)`` reads v in both forms, and a
+    replaced ``count`` takes ``digits=None`` with it.
     """
 
     backend: str
-    count: int | None = None
-    digits: str | None = None
+    count: int | None
+    digits: str | None
+
+    def __init__(
+        self,
+        backend: str,
+        count: int | None = None,
+        digits: str | None = None,
+        *,
+        value: int | None = None,
+    ) -> None:
+        if value is not None:
+            count, digits = value, None
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "digits", digits)
 
     @functools.cached_property
     def value(self) -> int:
@@ -461,10 +478,13 @@ def _moduli(bound: int) -> list[int]:
 
 
 def _moduli_bound(spec: BallSpec) -> int:
-    """A power of two above the permanent: Bregman's bound, which is the
-    paper's Phi1, rounded up to a whole bit plus one bit.  Phi1's float
-    sum is within 1e-6 bits of the exact one for n <= 10^7 at the residue
-    DP's r <= 31, so the added bit keeps the power above Bregman's bound."""
+    """A power of two above the permanent: Bregman's bound, the paper's
+    Phi1, rounded up to a whole bit plus one bit.  The added bit keeps the
+    power above Bregman's bound while Phi1's float sum errs by less than
+    a bit.  At the residue DP's r <= 31 that sum takes a few hundred
+    roundings, a relative error below 1e-13, or 5e-6 bits of the 4.6e7
+    at (10^7, 31); against 60-digit decimal sums it was within 1.5e-8
+    bits at every r <= 31, on n <= 129 and five n up to 10^7."""
     return 1 << math.ceil(finite_bound("Phi1", spec).bits) + 1
 
 

@@ -618,9 +618,14 @@ class TestDispatch:
         warm = ball_size_exact_detailed(spec, cache=cache)
         assert (warm.text, warm.value, warm.backend) == ("31", 31, "cache")
         assert (warm.value, warm.text) == (cold.value, cold.text)
-        # Replaced digits carry no stale count.
-        moved = dataclasses.replace(warm, digits="32")
-        assert (moved.value, moved.text) == (32, "32")
+        # A replaced count or digits carries no stale other form.
+        for moved in (
+            dataclasses.replace(warm, digits="32"),
+            dataclasses.replace(cold, count=32, digits=None),
+            dataclasses.replace(cold, value=32),
+            dataclasses.replace(warm, value=32),
+        ):
+            assert (moved.value, moved.text) == (32, "32")
 
     def test_no_backend(self):
         with pytest.raises(CapacityError):
