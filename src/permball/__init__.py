@@ -46,7 +46,6 @@ from .scalar import (
     lambert_w,
     log2_factorial,
     mu_star,
-    omega_r,
     sr_sums,
     t_hat,
 )
@@ -70,5 +69,5 @@ __all__ = [
     "RatePoint", "covering_rate_upper", "ecc_rate_upper", "rate_table",
     # scalar
     "alpha_high_root", "alpha_low_root", "binary_entropy", "lambert_w",
-    "log2_factorial", "mu_star", "omega_r", "sr_sums", "t_hat",
+    "log2_factorial", "mu_star", "sr_sums", "t_hat",
 ]

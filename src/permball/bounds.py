@@ -18,14 +18,14 @@ from .core import BallSpec, BandMatrix
 from .errors import DomainError, ValidationError
 from .qmat import StochasticMatrix
 from .scalar import (
-    LOG2_FACTORIAL_EXACT_MAX,
+    LN2,
     LOG2E,
     alpha_high_root,
     alpha_low_root,
     log2_factorial,
-    log2_factorial_table,
     log2_omega_r,
     sr_sums,
+    sum_ln_factorial_over_i,
 )
 
 @dataclass(frozen=True)
@@ -90,18 +90,12 @@ def _phi1_bits(spec: BallSpec) -> float:
 
 
 def _Phi1_bits(spec: BallSpec) -> float:
+    # Bregman's bound: n - 2(k-r-1) rows of degree k = min(2r+1, n), and
+    # two rows of each degree r+1 .. k-1.
     n, r = spec.n, spec.r
-    if spec.low_range:
-        table = log2_factorial_table(2 * r + 1)
-        head = (n - 2 * r) / (2 * r + 1) * table[2 * r + 1]
-        i = np.arange(r + 1, 2 * r + 1)
-    else:
-        table = log2_factorial_table(n)
-        head = (2 * r + 2 - n) / n * table[n]
-        i = np.arange(r + 1, n)
-    if i.size == 0:
-        return float(head)
-    return float(head + np.sum(2.0 * table[i] / i))
+    k = min(2 * r + 1, n)
+    head = (n - 2 * (k - r - 1)) / k * log2_factorial(k)
+    return head + 2.0 * sum_ln_factorial_over_i(r + 1, k - 1) / LN2
 
 
 def _phi1_prime_bits(spec: BallSpec) -> float:
@@ -167,13 +161,7 @@ def _phi3_bits(spec: BallSpec) -> float:
 # covers with the text that refuses a radius outside it.
 _CLOSED = {
     "phi1": ("lower", _phi1_bits, lambda spec: True, ""),
-    # Phi1 reads log2(k!) from the cumulative table for k <= min(2r+1, n).
-    "Phi1": (
-        "upper", _Phi1_bits,
-        lambda spec: min(2 * spec.r + 1, spec.n) <= LOG2_FACTORIAL_EXACT_MAX,
-        f"Phi1 requires min(2r+1, n) <= {LOG2_FACTORIAL_EXACT_MAX}, "
-        "the cumulative log2-factorial table's cap",
-    ),
+    "Phi1": ("upper", _Phi1_bits, lambda spec: True, ""),
     "phi1_prime": (
         "lower", _phi1_prime_bits, lambda spec: 1 <= spec.r and spec.low_range,
         "phi1_prime requires 1 <= r <= (n-1)/2",
@@ -197,11 +185,10 @@ DIRECTIONS = {f: _CLOSED[f][0] if f in _CLOSED else "lower" for f in ALL_FAMILIE
 def finite_bound(family: str, spec: BallSpec) -> BoundValue:
     """Finite-n value of a closed bound family at a spec, in bits.
 
-    phi1 and phi2 cover every radius, with a branch at rho = 1/2
-    (``BallSpec.low_range``); so does Phi1 while min(2r+1, n) is within
-    the cumulative log2-factorial table.  Outside the range of Phi1,
-    phi1_prime or phi3 the result is an inert invalid value whose reason
-    is the family's refusal text.
+    phi1, Phi1 and phi2 cover every radius, with a branch at rho = 1/2
+    (``BallSpec.low_range``).  Outside the range of phi1_prime or phi3 the
+    result is an inert invalid value whose reason is the family's refusal
+    text.
     """
     if family not in CLOSED_FAMILIES:
         raise ValidationError(

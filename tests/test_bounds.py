@@ -1,6 +1,7 @@
 """Bound functionals and the closed finite-n families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from permball.qmat import (
     q_second_low,
     sinkhorn_balance,
 )
+from permball.scalar import log2_factorial
 
 
 def uniform(n):
@@ -234,15 +236,48 @@ class TestFiniteBound:
                 for family in ("phi1", "Phi1", "phi2"):
                     assert finite_bound(family, BallSpec(n, r)).valid
 
-    def test_Phi1_past_the_log2_factorial_table_is_inert(self):
-        # Phi1 reads log2(k!) from the cumulative table up to min(2r+1, n).
-        for spec in (BallSpec(2_000_001, 1_500_000), BallSpec(2_000_001, 500_000)):
-            bv = finite_bound("Phi1", spec)
-            assert not bv.valid and math.isnan(bv.bits)
-            assert "Phi1 requires min(2r+1, n) <= 1000000" in bv.reason
-        assert finite_bound("Phi1", BallSpec(2_000_001, 499_999)).valid
-        assert finite_bound("Phi1", BallSpec(10**6, 10**6 - 1)).valid
-        assert finite_bound("phi1", BallSpec(2_000_001, 1_500_000)).valid
+    def test_Phi1_past_the_log2_factorial_table_is_valid(self):
+        # Phi1's sum of log2(i!)/i reads no table, so no n caps it.
+        for spec in (
+            BallSpec(2_000_001, 1_500_000),
+            BallSpec(2_000_001, 500_000),
+            BallSpec(10**9, 4 * 10**8),
+        ):
+            upper = finite_bound("Phi1", spec)
+            assert upper.valid and math.isfinite(upper.bits)
+            for family in ("phi1", "phi2"):
+                assert finite_bound(family, spec).bits < upper.bits
+
+    def test_Phi1_against_a_chunked_stirling_sum(self):
+        # Bregman's bound at (10^8, 4*10^7): n - 2r rows of degree 2r+1 and
+        # two of each degree r+1 .. 2r, summed in float chunks of Stirling's
+        # series for ln(i!)/i.
+        n, r = 10**8, 4 * 10**7
+        k = 2 * r + 1
+        chunks = []
+        for start in range(r + 1, k, 2**20):
+            i = np.arange(start, min(start + 2**20, k), dtype=float)
+            ln_factorial = (i + 0.5) * np.log(i) - i + 0.5 * math.log(2 * math.pi)
+            ln_factorial += 1 / (12 * i) - 1 / (360 * i**3)
+            chunks.append(float(np.sum(ln_factorial / i)))
+        reference = ((n - 2 * r) / k * math.lgamma(k + 1) + 2 * math.fsum(chunks)) / math.log(2)
+        bits = finite_bound("Phi1", BallSpec(n, r)).bits
+        assert bits == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "family, n, r, bound",
+        [("phi1_prime", 10**6, 4 * 10**5, 1_000_000), ("Phi1", 813_978, 406_235, 16_000)],
+    )
+    def test_traced_peak_memory_past_the_grown_table(self, family, n, r, bound):
+        # As the benchmark leaves it: the log2-factorial table already grown.
+        log2_factorial(10**6)
+        tracemalloc.start()
+        try:
+            finite_bound(family, BallSpec(n, r))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_boundary_values(self):
         # r = n-1: the upper bound meets the exact count n! exactly.

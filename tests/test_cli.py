@@ -254,7 +254,7 @@ class TestSweep:
         assert code == 1 and "no family names" in err and "' , '" in err
         assert not out.exists()
 
-    def test_Phi1_past_its_table_cap_is_an_invalid_row(self, capsys, tmp_path):
+    def test_Phi1_past_a_million_is_a_valid_row(self, capsys, tmp_path):
         out = tmp_path / "big.csv"
         code, _, err = run(
             capsys, "sweep", "--n", "2000001", "--rho", "3/4",
@@ -263,8 +263,9 @@ class TestSweep:
         )
         assert code == 0, err
         rows = {row["family"]: row for row in parse_sweep_csv(out.read_text())}
-        assert rows["phi1"]["valid"] and not rows["Phi1"]["valid"]
+        assert rows["phi1"]["valid"] and rows["Phi1"]["valid"]
         assert rows["Phi1"]["spec"] == rows["phi1"]["spec"]
+        assert rows["phi1"]["bits"] < rows["Phi1"]["bits"]
 
     def test_generic_families(self, capsys, tmp_path):
         out = tmp_path / "g.csv"
@@ -345,18 +346,18 @@ class TestSweep:
         assert "residual" not in out["csv"].read_text()
 
     def test_json_rows_say_why_a_value_is_invalid(self, capsys, tmp_path):
-        # Phi1 at r = 1,500,000 reads past the log2-factorial table; the
+        # phi1_prime at r = 1,500,000 is past its range 2r <= n-1; the
         # one row is invalid, so the sweep exits 3 with the row written.
         out = tmp_path / "s.json"
         code, _, _ = run(
-            capsys, "sweep", "--n", "2000001", "--rho", "3/4", "--families", "Phi1",
+            capsys, "sweep", "--n", "2000001", "--rho", "3/4", "--families", "phi1_prime",
             "--format", "json", "--out", str(out),
             "--cache-dir", str(tmp_path / "c"), "--jobs", "1",
         )
         assert code == 3
         (row,) = json.loads(out.read_text())["rows"]
         assert (row["valid"], row["bits"]) == (False, None)
-        assert "the cumulative log2-factorial table's cap" in row["reason"]
+        assert row["reason"] == "phi1_prime requires 1 <= r <= (n-1)/2, got r=1500000"
 
     def test_backends_flag_is_unknown(self, capsys, tmp_path):
         code, _, _ = run(

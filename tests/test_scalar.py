@@ -1,11 +1,12 @@
 """Special-function values against independent oracles."""
 
 import math
+import random
 
 import pytest
 
 from permball.asym import step_grid
-from permball.errors import CapacityError, DomainError
+from permball.errors import DomainError
 from permball.scalar import (
     LOG2E,
     alpha_high_root,
@@ -13,13 +14,17 @@ from permball.scalar import (
     binary_entropy,
     lambert_w,
     log2_factorial,
-    log2_factorial_table,
     log2_omega_r,
     mu_star,
-    omega_r,
     sr_sums,
+    sum_ln_factorial_over_i,
     t_hat,
 )
+
+
+def omega_r(r):
+    """The exact big-integer sum of binom(r, m) * (m+1)^r over m = 0..r."""
+    return sum(math.comb(r, m) * (m + 1) ** r for m in range(r + 1))
 
 
 def lambert_fixed_point(x, steps=200):
@@ -107,9 +112,45 @@ class TestLog2Factorial:
         )
 
     def test_table_consistency(self):
-        table = log2_factorial_table(50)
-        for k in (0, 1, 7, 50):
-            assert table[k] == pytest.approx(log2_factorial(k), abs=1e-12)
+        for k in (0, 1, 7, 50, 170, 1000):
+            assert log2_factorial(k) == pytest.approx(
+                math.log2(math.factorial(k)), rel=1e-14, abs=1e-14
+            )
+
+
+class TestSumLnFactorialOverI:
+    ENDS = (1, 2, 3, 17, 100, 255, 256, 257, 300, 1000, 4096, 99_999, 10**5,
+            999_999, 10**6)
+
+    @pytest.fixture(scope="class")
+    def terms(self):
+        # terms[i] = ln(i!)/i, the summand, for i <= 10^6.
+        return [0.0] + [math.lgamma(i + 1) / i for i in range(1, 10**6 + 1)]
+
+    def test_against_fsum(self, terms):
+        # Spans from a = 1, with a = b, across the prefix table's end at 256
+        # and up to 10^6, plus short spans at random places.
+        spans = [(a, b) for a in self.ENDS for b in self.ENDS if a <= b]
+        rng = random.Random(36)
+        for _ in range(200):
+            a = rng.randint(1, 10**6)
+            spans.append((a, min(10**6, a + rng.choice((0, 1, 2, 10, 100, 1000)))))
+        for a, b in spans:
+            expected = math.fsum(terms[a : b + 1])
+            if expected == 0.0:  # S(1, 1) = ln(1!)/1
+                assert sum_ln_factorial_over_i(a, b) == 0.0
+                continue
+            assert sum_ln_factorial_over_i(a, b) == pytest.approx(expected, rel=1e-13), (a, b)
+
+    def test_empty_span_is_zero(self):
+        assert sum_ln_factorial_over_i(5, 4) == 0.0
+        assert sum_ln_factorial_over_i(10**6, 10**6 - 1) == 0.0
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            sum_ln_factorial_over_i(0, 5)
+        with pytest.raises(DomainError):
+            sum_ln_factorial_over_i(1, 5.0)
 
 
 class TestMuStar:
@@ -246,24 +287,33 @@ class TestTHat:
 
 class TestOmega:
     def test_small_values(self):
-        assert omega_r(0) == 1
-        assert omega_r(1) == 3
-        assert omega_r(2) == 18
+        assert log2_omega_r(0) == 0.0
+        assert log2_omega_r(1) == pytest.approx(math.log2(3), rel=1e-15)
+        assert log2_omega_r(2) == pytest.approx(math.log2(18), rel=1e-15)
 
     def test_matches_direct_definition(self):
-        for r in (3, 7, 20):
-            direct = sum(math.comb(r, m) * (m + 1) ** r for m in range(r + 1))
-            assert omega_r(r) == direct
-
-    def test_log_form_agreement(self):
-        # The log-domain sum against the exact integer.
-        for r in (0, 1, 2, 5, 50, 60, 500, 1000):
+        # Past r of about 250 the window is shorter than [0, r].
+        for r in (1000, 2000, 2999):
             assert log2_omega_r(r) == pytest.approx(math.log2(omega_r(r)), rel=1e-12)
 
+    def test_log_form_agreement(self):
+        # The windowed log-domain sum against the exact integer.
+        for r in range(601):
+            assert log2_omega_r(r) == pytest.approx(math.log2(omega_r(r)), rel=1e-12), r
+
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            omega_r(10**4 + 1)
-        assert log2_omega_r(10**4 + 1) > 0
+        # No cap: past the exact sum's reach the window matches a sum of
+        # all r+1 terms from math.lgamma.
+        r = 10**5
+        ln_terms = [
+            math.lgamma(r + 1) - math.lgamma(m + 1) - math.lgamma(r - m + 1)
+            + r * math.log(m + 1)
+            for m in range(r + 1)
+        ]
+        top = max(ln_terms)
+        expected = (top + math.log(math.fsum(math.exp(t - top) for t in ln_terms))) / math.log(2)
+        assert log2_omega_r(r) == pytest.approx(expected, rel=1e-13)
+        assert math.isfinite(log2_omega_r(10**9))
 
 
 class TestSrSums:
