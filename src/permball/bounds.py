@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import BallSpec, BandMatrix
 from .errors import DomainError, ValidationError
-from .qmat import StochasticMatrix
+from .qmat import StochasticMatrix, band_sum
 from .scalar import (
     LN2,
     LOG2E,
@@ -43,19 +43,28 @@ class BoundValue:
     residual: float | None = None
 
 
-def _relative_entropy_terms(
-    band: BandMatrix, q: StochasticMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """q's positive values and their terms -q*log2(q).  Q must be stored
-    on ``band``'s spec, so its cells are the band's, where the band is 1."""
+def _entropy_terms(band: BandMatrix, q: StochasticMatrix) -> np.ndarray:
+    """-q*log2(q) per stored cell of q, 0 where q = 0 (the padding among
+    them).  Q must be stored on ``band``'s spec, so its cells are the
+    band's, where the band is 1."""
     if band.spec != q.spec:
         raise ValidationError(
             f"Q on the band of n={q.spec.n}, r={q.spec.r} does not match "
             f"the band of n={band.spec.n}, r={band.spec.r}"
         )
-    positive = q.values > 0
-    qv = q.values if positive.all() else q.values[positive]
-    return qv, -qv * np.log2(qv)
+    return _xlog2x(q.values)
+
+
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """-x*log2(x) per entry of x in [0, 1].  The log is taken at max(x,
+    the smallest normal float), so x = 0 gives 0 (the 0*log2(0) = 0
+    convention) without a mask, and a subnormal x moves its term by less
+    than 2^-1011."""
+    terms = np.maximum(x, np.finfo(float).tiny)
+    np.log2(terms, out=terms)
+    terms *= x
+    np.negative(terms, out=terms)
+    return terms
 
 
 def vdw_sinkhorn_bound(band: BandMatrix, q: StochasticMatrix) -> float:
@@ -64,21 +73,16 @@ def vdw_sinkhorn_bound(band: BandMatrix, q: StochasticMatrix) -> float:
     Q must be stored on the band's own spec; cells with q = 0 contribute
     nothing (the 0*log2(0) = 0 convention).
     """
-    _, h = _relative_entropy_terms(band, q)
     n = q.n
-    return log2_factorial(n) - n * math.log2(n) + float(np.sum(h))
+    return log2_factorial(n) - n * math.log2(n) + band_sum(_entropy_terms(band, q))
 
 
 def bethe_bound(band: BandMatrix, q: StochasticMatrix) -> float:
     """Lower bound on log2 per(band) through the Bethe permanent:
     sum over support of [-q*log2(q) + (1-q)*log2(1-q)]."""
-    qv, h = _relative_entropy_terms(band, q)
-    one_minus = 1.0 - qv
-    # 0 where q = 1 (the 0*log2(0) = 0 convention), without a masked copy.
-    extra = np.log2(one_minus, out=np.zeros_like(qv), where=one_minus > 0)
-    extra *= one_minus
-    h += extra
-    return float(np.sum(h))
+    terms = _entropy_terms(band, q)
+    terms -= _xlog2x(1.0 - q.values)
+    return band_sum(terms)
 
 
 def _phi1_bits(spec: BallSpec) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -58,37 +57,13 @@ class BallSpec:
         return 2 * self.r > self.n - 1 and self.r < self.n - 1
 
 
-@dataclass(frozen=True, eq=False)
-class Cells:
-    """Zero-based ``rows`` and ``cols`` of a band's cells in row-major
-    order, read-only.  ``starts`` holds the index of each row's first cell,
-    so row sums and mirror lookups need no search over ``rows``."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    starts: np.ndarray
-
-    def __post_init__(self):
-        for array in (self.rows, self.cols, self.starts):
-            array.flags.writeable = False
-
-    @cached_property
-    def mirror(self) -> np.ndarray:
-        """The index of each cell's mirror (j, i), built on first use and
-        then read by every holder of this record."""
-        # Cell (j, i) sits at row j's first cell minus its first column, plus i.
-        mirror = (self.starts - self.cols[self.starts])[self.cols]
-        mirror += self.rows
-        mirror.flags.writeable = False
-        return mirror
-
-
 @dataclass(frozen=True)
 class BandMatrix:
     """Implicit n x n band matrix with ones exactly on |i-j| <= r.
 
-    Entries are computed, never stored.  Numeric consumers work on the
-    O(n r) cell list from ``cells`` or on each row's window from ``windows``.
+    Entries are computed, never stored.  Numeric consumers work on each
+    row's window from ``windows``; ``cells`` lists the band's cells in
+    row-major order, for export and tests.
     """
 
     spec: BallSpec
@@ -97,23 +72,24 @@ class BandMatrix:
     def n(self) -> int:
         return self.spec.n
 
-    def windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def windows(self) -> tuple[np.ndarray, np.ndarray]:
         """Per row, zero-based: the first column of its window |i-j| <= r,
-        the window's width, and the index of its first cell in ``cells``."""
+        and the window's width."""
         idx = np.arange(self.n)
         first = np.maximum(idx - self.spec.r, 0)
         width = np.minimum(idx + (self.spec.r + 1), self.n) - first
-        return first, width, width.cumsum() - width
+        return first, width
 
-    def cells(self) -> Cells:
-        """The |i-j| <= r cells in row-major order, with each row's first
-        cell, built in O(n r) without an n x n mask."""
-        first, width, start = self.windows()
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The zero-based rows and columns of the |i-j| <= r cells in
+        row-major order, built in O(n r) without an n x n mask."""
+        first, width = self.windows()
         rows = np.arange(self.n).repeat(width)
-        # Column = first column of the row plus the cell's offset within it.
-        cols = (first - start).repeat(width)
+        # Column = first column of the row plus the cell's offset within
+        # it; the row's first cell sits at the sum of the widths before it.
+        cols = (first + width - width.cumsum()).repeat(width)
         cols += np.arange(rows.size)
-        return Cells(rows, cols, start)
+        return rows, cols
 
 
 def parse_rho(text: str) -> Fraction:

@@ -24,10 +24,12 @@ LN2 = math.log(2.0)
 LAMBERT_TOL = 1e-12
 LAMBERT_MAX_STEPS = 50
 ALPHA_RESIDUAL_TOL = 1e-12
-# log2(n!) is a running sum up to here and log-gamma beyond.
+# Unused by ``log2_factorial``, which builds no table at any n; kept
+# because the benchmark's set-up imports it (ROADMAP 1d).
 LOG2_FACTORIAL_EXACT_MAX = 10**6
-
-_log2_cumulative: np.ndarray = np.zeros(1)
+# log2(n!) rounded from the integer n! while it fits in a float; log-gamma
+# is up to 4 ulps off there (log2(2!) = 0.9999999999999996).
+_SMALL_LOG2_FACTORIALS = tuple(math.log2(math.factorial(k)) for k in range(171))
 
 # Sums of ln(i!)/i read a prefix table below this and Stirling's series
 # from it up.
@@ -120,30 +122,13 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _grow_log2_table(n: int) -> np.ndarray:
-    global _log2_cumulative
-    if n < _log2_cumulative.size:
-        return _log2_cumulative
-    size = 1024
-    while size <= n:
-        size *= 2
-    table = np.zeros(size)
-    table[1:] = np.cumsum(np.log2(np.arange(1, size, dtype=float)))
-    _log2_cumulative = table
-    return table
-
-
 def log2_factorial(n: int) -> float:
-    """log2(n!): a running sum of log2(i) for n <= 10^6, log-gamma beyond.
-
-    The running sum drifts from ``math.fsum`` of the same logs by up to
-    3.5e-14 relative at n = 10^6; ``math.lgamma`` is exact there to
-    double precision.
-    """
+    """log2(n!) in O(1): rounded from n! itself for n <= 170, and
+    ``math.lgamma(n + 1) / ln 2`` beyond."""
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"log2_factorial requires a non-negative integer, got {n!r}")
-    if n <= LOG2_FACTORIAL_EXACT_MAX:
-        return float(_grow_log2_table(n)[n])
+    if n < len(_SMALL_LOG2_FACTORIALS):
+        return _SMALL_LOG2_FACTORIALS[n]
     return math.lgamma(n + 1) / LN2
 
 

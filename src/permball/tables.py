@@ -241,19 +241,23 @@ def render_rate_wide_csv(
 # -- matrices -----------------------------------------------------------
 
 
-def _cell_texts(sm: StochasticMatrix) -> list[str]:
-    """Each band cell's value as exported: exact fractions when built exact."""
+def _band_cells(sm: StochasticMatrix) -> tuple:
+    """Each band cell's zero-based row and column in row-major order, its
+    value, and its value as exported: exact fractions when built exact."""
     if sm.is_exact:
+        rows, cols, values, numerators = sm.row_major(sm.values, sm.exact_numerators)
         d = sm.exact_denominator
-        return [str(Fraction(int(x), d)) for x in sm.exact_numerators]
-    return [format_float(x) for x in sm.values]
+        return rows, cols, values, [str(Fraction(int(x), d)) for x in numerators]
+    rows, cols, values = sm.row_major(sm.values)
+    return rows, cols, values, [format_float(x) for x in values]
 
 
 def render_matrix_dense_csv(sm: StochasticMatrix, comments: Sequence[str] = ()) -> str:
     header = tuple(f"c{j}" for j in range(1, sm.n + 1))
     zero = "0" if sm.is_exact else format_float(0.0)
     grid = [[zero] * sm.n for _ in range(sm.n)]
-    for i, j, text in zip(sm.cells.rows, sm.cells.cols, _cell_texts(sm)):
+    rows, cols, _, texts = _band_cells(sm)
+    for i, j, text in zip(rows, cols, texts):
         grid[i][j] = text
     return render_csv(header, grid, comments)
 
@@ -281,7 +285,7 @@ def render_matrix_triplets_csv(
     """One (i, j, value) row per positive cell, in row-major order."""
     rows = [
         (str(i + 1), str(j + 1), text)
-        for i, j, x, text in zip(sm.cells.rows, sm.cells.cols, sm.values, _cell_texts(sm))
+        for i, j, x, text in zip(*_band_cells(sm))
         if x > 0
     ]
     return render_csv(TRIPLET_HEADER, rows, comments)

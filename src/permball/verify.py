@@ -137,18 +137,13 @@ def _battery_radii(n: int) -> list[int]:
 
 def _double_stochasticity(max_n: int) -> str | None:
     # Each builder raises, and _run reports, unless its row sums are 1
-    # within STOCHASTIC_TOL (exactly, for the first class), its support is
-    # the band and every cell equals its mirror; the battery adds no check.
+    # within STOCHASTIC_TOL (exactly, for the first class) and its support
+    # is the band; each Q is symmetric by storage, so its column sums are
+    # its row sums.  The battery adds no check.
     for n in range(1, max_n + 1):
         for r in _battery_radii(n):
             spec = BallSpec(n, r)
-            # ``first`` stays bound until the next spec's matrix replaces
-            # it.  Dropping it at once let the allocator hand the heap
-            # back between specs and fault it in again: 120k minor page
-            # faults a call against 54k, and 1.7x the time.  It also keeps
-            # the spec's layout alive, so the second-class builders share
-            # it and the mirror index its symmetry check built.
-            first = q_first_class(spec)
+            q_first_class(spec)
             if spec.second_low_range:
                 q_second_low(spec)
             if spec.second_high_range:

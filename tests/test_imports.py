@@ -224,14 +224,15 @@ def global_statements(source):
 
 def test_only_scalar_rebinds_a_module_level_name():
     # Module-level caches are built once and shared as they are (a
-    # ``functools.cache`` or a weak-value registry); only scalar.py's
-    # log2-factorial table is replaced by a longer one when it grows.
+    # ``functools.cache``).  scalar.py's log2-factorial table, which it
+    # replaced by a longer one as it grew, is gone, so no module rebinds a
+    # module-level name any more.
     rebinding = {
         path.name
         for path in MODULES
         if global_statements(path.read_text(encoding="utf-8"))
     }
-    assert rebinding == {"scalar.py"}, rebinding
+    assert rebinding == set(), rebinding
 
 
 def test_global_statements_are_found():

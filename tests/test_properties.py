@@ -23,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from permball import qmat
 from permball.asym import GAP_PAIRS, GRID_MIN_STEP, gap_curve_table, step_grid
 from permball.bounds import (
     ALL_FAMILIES,
@@ -309,8 +310,7 @@ def test_qmatrix_round_trips_dense_and_triplets(spec):
         # Exact matrices export fractions; float cells parse back exactly.
         value = Fraction if q.is_exact else float
         if q.is_exact:
-            numerators = np.zeros((spec.n, spec.n), dtype=np.int64)
-            numerators[q.cells.rows, q.cells.cols] = q.exact_numerators
+            numerators = qmat._dense(q.exact_numerators)
             d = q.exact_denominator
             grid = [[Fraction(int(x), d) for x in row] for row in numerators]
         else:
@@ -319,7 +319,7 @@ def test_qmatrix_round_trips_dense_and_triplets(spec):
         assert [[value(x) for x in row] for row in dense] == grid
         triplets = parse_matrix_triplets_csv(render_matrix_triplets_csv(q))
         assert [(i - 1, j - 1, value(text)) for i, j, text in triplets] == [
-            (i, j, grid[i][j]) for i, j in zip(q.cells.rows, q.cells.cols) if grid[i][j] > 0
+            (i, j, x) for i, row in enumerate(grid) for j, x in enumerate(row) if x > 0
         ]
 
 

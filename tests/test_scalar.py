@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -116,6 +117,16 @@ class TestLog2Factorial:
             assert log2_factorial(k) == pytest.approx(
                 math.log2(math.factorial(k)), rel=1e-14, abs=1e-14
             )
+
+    def test_no_table_is_built(self):
+        # log-gamma at every n: a call at n = 10^6 allocates no table.
+        tracemalloc.start()
+        try:
+            log2_factorial(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
 
 
 class TestSumLnFactorialOverI:

@@ -2,9 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
+from permball import qmat
 from permball.asym import GAP_PAIRS, gap_curve_table
 from permball.bounds import finite_bound
 from permball.core import BallSpec
@@ -93,8 +93,7 @@ def test_matrix_dense_exact_round_trip():
     sm = q_first_class(BallSpec(5, 1))
     text = render_matrix_dense_csv(sm)
     assert "2/3" in text and "1/3" in text
-    numerators = np.zeros((5, 5), dtype=np.int64)
-    numerators[sm.cells.rows, sm.cells.cols] = sm.exact_numerators
+    numerators = qmat._dense(sm.exact_numerators)
     assert parse_matrix_dense_csv(text) == [
         [Fraction(int(v), sm.exact_denominator) for v in row] for row in numerators
     ]
@@ -128,3 +127,40 @@ def test_matrix_triplets_round_trip():
 def test_data_section_strips_comments():
     text = "# one\n# two\nh1,h2\n1,2\n"
     assert data_section(text) == "h1,h2\n1,2"
+
+
+# sha256 of the dense and triplet exports of each qmatrix family, recorded
+# when Q was stored cell by cell in row-major order.
+MATRIX_EXPORT_SHA256 = {
+    ("first", 7, 2): (
+        "626dbbc6ab6a5ad1e9b93a15b514e6d190f36ab04701f23df2f4a1fd5aef40df",
+        "c5b468e1f722dcb7c5d68df74df9bec6f8c3522340523ad5122c53945a56ac24",
+    ),
+    ("second-low", 10, 3): (
+        "b9aeb1bc8acb285c17bce30e525a27cbae778c4d183aa68e037d271312f382b2",
+        "c11932e1a03ea4d80c818bffd8f5817449cdabd0ddf9c875189ec74b884f3e57",
+    ),
+    ("second-high", 9, 6): (
+        "3f287d0b16bd6a7c707a50e377058bbf1643b14cf0782e02adbf33331b422ad8",
+        "d7f2aa9732cb485a8f9b3c7f29733b13df36fe80603e477b9ade8e0a4cb6a737",
+    ),
+    ("balanced", 12, 4): (
+        "6b67e8efa4dc6fb25d42d3d2155f870d19ba79788acd8f22160b648b735dd1bb",
+        "f8387ab2aeaec4e5a4acfc6e4b960464eca7def08b6725b1ea2b26fa553fbbcc",
+    ),
+}
+
+
+@pytest.mark.parametrize("family, n, r", sorted(MATRIX_EXPORT_SHA256))
+def test_matrix_exports_keep_their_bytes(family, n, r):
+    import hashlib
+
+    from permball.cli import QMATRIX_FAMILIES
+    from permball.tables import render_matrix_triplets_csv
+
+    sm = QMATRIX_FAMILIES[family](BallSpec(n, r))
+    digests = tuple(
+        hashlib.sha256(render(sm).encode()).hexdigest()
+        for render in (render_matrix_dense_csv, render_matrix_triplets_csv)
+    )
+    assert digests == MATRIX_EXPORT_SHA256[family, n, r]

@@ -5,7 +5,6 @@ the construction's own checks (``qmat._finish``) run, where a defect in a
 real builder would sit, and at one (n, r) of the battery only.
 """
 
-import numpy as np
 import pytest
 
 from permball import qmat, verify
@@ -14,9 +13,9 @@ LOW, HIGH = (31, 10), (31, 20)  # both in _battery_radii(31)
 
 
 def cell(q, i, j):
-    """Position of the zero-based cell (i, j) in q's cell list."""
-    rows, cols = q.cells.rows, q.cells.cols
-    return int(np.flatnonzero((rows == i) & (cols == j))[0])
+    """Where the zero-based cell (i, j), and its mirror (j, i), is stored:
+    on diagonal |i-j| at position min(i, j)."""
+    return abs(j - i), min(i, j)
 
 
 def at(target, build, defect):
@@ -41,20 +40,18 @@ def changed_numerator(q):
     return num / q.exact_denominator, num, q.exact_denominator
 
 
-def exact_but_asymmetric(q):
-    # Twice the numerators plus a 3-cycle minus its transpose: every line
-    # sum stays exactly 2D and every cell positive.
-    num = 2 * q.exact_numerators
-    for i, j in ((3, 4), (4, 5), (5, 3)):
-        num[cell(q, i, j)] += 1
-        num[cell(q, j, i)] -= 1
-    d = 2 * q.exact_denominator
-    return num / d, num, d
+def padding_value(q):
+    # A numerator in the last padding cell, which no row sum reads: the
+    # sums stay exact and only the support check sees it.
+    num = q.exact_numerators.copy()
+    num[-1, -1] = 1
+    return num / q.exact_denominator, num, q.exact_denominator
 
 
 def zero_cell(q):
     # Move the value of (10, 20) around a 2 x 2 cycle so that every line
-    # sum keeps its value and only the support changes.
+    # sum keeps its value and only the support changes; each stored cell
+    # moves its mirror with it, and the mirrored cycle keeps the sums too.
     values = q.values.copy()
     v = values[cell(q, 10, 20)]
     for i, j, sign in ((10, 20, -1), (10, 19, 1), (11, 19, -1), (11, 20, 1)):
@@ -70,7 +67,7 @@ def sums_off(q):
     "name, target, defect, message",
     [
         ("q_first_class", LOW, changed_numerator, "misses double stochasticity"),
-        ("q_first_class", HIGH, exact_but_asymmetric, "first-class asymmetry"),
+        ("q_first_class", HIGH, padding_value, "support differs from the band"),
         ("q_second_low", LOW, zero_cell, "support differs from the band"),
         ("q_second_high", HIGH, sums_off, "misses double stochasticity"),
     ],
@@ -106,18 +103,12 @@ def test_battery_visits_every_spec(monkeypatch):
 
 
 def test_battery_builds_each_specs_row_windows_at_most_once(monkeypatch):
-    # The builders share one band layout per spec, and the symmetry check
-    # reads its row starts instead of rebuilding the windows.
-    from permball.core import BallSpec, BandMatrix
+    # The builders evaluate their formulas on the stored (d, t) grid, so
+    # they build neither row windows nor a cell list, for any spec.
+    from permball.core import BandMatrix
 
-    real_windows, calls = BandMatrix.windows, []
-
-    def counted(self):
-        calls.append(self.spec)
-        return real_windows(self)
-
-    monkeypatch.setattr(BandMatrix, "windows", counted)
+    calls = []
+    for name in ("windows", "cells"):
+        monkeypatch.setattr(BandMatrix, name, lambda self, name=name: calls.append(name))
     assert verify._double_stochasticity(40) is None
-    specs = [BallSpec(n, r) for n in range(1, 41) for r in verify._battery_radii(n)]
-    assert sorted(set(calls), key=specs.index) == specs
-    assert len(calls) == len(specs)
+    assert calls == []
